@@ -13,6 +13,7 @@
 #include "core/data_parallel.hpp"
 #include "core/fixed_split.hpp"
 #include "core/hybrid.hpp"
+#include "core/schedule_plan.hpp"
 #include "core/stream_k.hpp"
 #include "cpu/executor.hpp"
 #include "cpu/gemm.hpp"
@@ -61,60 +62,46 @@ void BM_Reference(benchmark::State& state) {
 }
 BENCHMARK(BM_Reference)->Unit(benchmark::kMillisecond);
 
-void BM_DataParallel(benchmark::State& state) {
+/// Times execution of `decomposition`, compiled once outside the timed
+/// loop.
+void run_compiled(benchmark::State& state,
+                  const core::Decomposition& decomposition,
+                  const cpu::ExecutorOptions& options) {
   Fixture& f = fixture();
-  const core::DataParallel dp(f.mapping);
-  const cpu::ExecutorOptions options{
-      .workers = static_cast<std::size_t>(state.range(0))};
+  const core::SchedulePlan plan = core::compile_plan(decomposition);
+  const cpu::GemmProblem<double, double> problem{f.a, f.b, f.c};
   for (auto _ : state) {
-    cpu::execute_decomposition<double, double, double>(dp, f.a, f.b, f.c,
-                                                       options);
+    cpu::execute_plan<double, double, double>(plan, {&problem, 1}, options);
     benchmark::DoNotOptimize(f.c.data().data());
   }
   report_flops(state);
+}
+
+void BM_DataParallel(benchmark::State& state) {
+  run_compiled(state, core::DataParallel(fixture().mapping),
+               {.workers = static_cast<std::size_t>(state.range(0))});
 }
 BENCHMARK(BM_DataParallel)->Arg(1)->Arg(2)->Arg(4)->Unit(
     benchmark::kMillisecond);
 
 void BM_FixedSplit(benchmark::State& state) {
-  Fixture& f = fixture();
-  const core::FixedSplit fs(f.mapping, state.range(0));
-  const cpu::ExecutorOptions options{.workers = 2};
-  for (auto _ : state) {
-    cpu::execute_decomposition<double, double, double>(fs, f.a, f.b, f.c,
-                                                       options);
-    benchmark::DoNotOptimize(f.c.data().data());
-  }
-  report_flops(state);
+  run_compiled(state, core::FixedSplit(fixture().mapping, state.range(0)),
+               {.workers = 2});
 }
 BENCHMARK(BM_FixedSplit)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_StreamK(benchmark::State& state) {
-  Fixture& f = fixture();
-  const core::StreamKBasic sk(f.mapping, state.range(0));
-  const cpu::ExecutorOptions options{
-      .workers = std::min<std::size_t>(4, util::hardware_threads())};
-  for (auto _ : state) {
-    cpu::execute_decomposition<double, double, double>(sk, f.a, f.b, f.c,
-                                                       options);
-    benchmark::DoNotOptimize(f.c.data().data());
-  }
-  report_flops(state);
+  run_compiled(state, core::StreamKBasic(fixture().mapping, state.range(0)),
+               {.workers = std::min<std::size_t>(4, util::hardware_threads())});
 }
 BENCHMARK(BM_StreamK)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(
     benchmark::kMillisecond);
 
 void BM_HybridTwoTile(benchmark::State& state) {
-  Fixture& f = fixture();
-  const core::Hybrid hybrid(f.mapping,
-                            core::DecompositionKind::kHybridTwoTile, 4);
-  const cpu::ExecutorOptions options{.workers = 2};
-  for (auto _ : state) {
-    cpu::execute_decomposition<double, double, double>(hybrid, f.a, f.b, f.c,
-                                                       options);
-    benchmark::DoNotOptimize(f.c.data().data());
-  }
-  report_flops(state);
+  run_compiled(state,
+               core::Hybrid(fixture().mapping,
+                            core::DecompositionKind::kHybridTwoTile, 4),
+               {.workers = 2});
 }
 BENCHMARK(BM_HybridTwoTile)->Unit(benchmark::kMillisecond);
 

@@ -1,7 +1,7 @@
 // Packed register-blocked microkernel vs the seed's scalar MAC loop.
 //
 // The microkernel PR's headline claim: replacing the naive
-// fragment-staging triple loop in run_mac_segment with packed panels plus
+// fragment-staging triple loop in the MAC segment with packed panels plus
 // an MR x NR register-tiled kernel buys >= 2x single-thread GFLOP/s on the
 // paper's block shapes (fp64 64x64x16, fp16->fp32 128x128x32).  This bench
 // A/Bs three in-process paths over one full-depth tile segment:
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/data_parallel.hpp"
 #include "core/schedule_plan.hpp"
 #include "core/work_mapping.hpp"
 #include "cpu/mac_loop.hpp"
@@ -44,7 +45,7 @@ namespace {
 
 using namespace streamk;
 
-/// The seed's run_mac_segment, kept verbatim as the baseline: stage
+/// The seed's MAC segment, kept verbatim as the baseline: stage
 /// zero-padded fragments per iteration, then the scalar triple loop over
 /// the full BLK_M x BLK_N x BLK_K volume.
 template <typename In, typename Acc>
@@ -170,7 +171,10 @@ CaseResult run_case(const std::string& precision, gpu::BlockShape blk,
                                         core::PackedPanelGeometry::kTargetPanelDepth,
                                         iters * blk.k));
   std::vector<Acc> accum_packed(tile_elems, Acc{});
-  cpu::run_mac_segment<In, Acc>(a, b, mapping, seg, accum_packed, scratch);
+  const core::SchedulePlan plan =
+      core::compile_plan(core::DataParallel(mapping));
+  const core::TileRef tile = plan.tile_ref(seg.tile_idx);
+  cpu::mac_segment<In, Acc>(plan, tile, a, b, seg, accum_packed, scratch);
   double max_err = 0.0;
   for (std::size_t i = 0; i < tile_elems; ++i) {
     max_err = std::max(max_err, std::abs(static_cast<double>(accum_packed[i]) -
@@ -203,8 +207,8 @@ CaseResult run_case(const std::string& precision, gpu::BlockShape blk,
     result.paths.push_back(
         {label, time_gflops(flops, target_seconds, [&] {
            std::fill(accum_packed.begin(), accum_packed.end(), Acc{});
-           cpu::run_mac_segment<In, Acc>(a, b, mapping, seg, accum_packed,
-                                         scratch);
+           cpu::mac_segment<In, Acc>(plan, tile, a, b, seg, accum_packed,
+                                     scratch);
          })});
   };
 

@@ -1,42 +1,25 @@
-// Persistent worker-pool vs spawn-per-call submission throughput.
+// Persistent worker-pool submission throughput.
 //
-// The runtime PR's headline claim: a process-wide persistent pool serves
-// concurrent small-GEMM traffic at a multiple of the old spawn-per-call
-// host runtime, because submission is a queue push instead of `workers - 1`
-// thread spawns plus a workspace allocation.  This bench A/Bs the two
-// regimes the codebase still contains:
-//
-//   spawn -- the pre-runtime world, faithfully reconstructed: no pool
-//            workers (the global pool is shut down), util::parallel_for
-//            uses the legacy spawning backend, workspace pooling is
-//            disabled (allocate-per-call, like the seed), and the schedule
-//            is recompiled per call (execute_decomposition);
-//   pool  -- the persistent runtime: submitters block on submit-then-get
-//            handles, inner regions recruit pool workers, the compiled
-//            plan comes from the plan cache, and workspaces / CTA buffers
-//            come from the runtime pools.
-//
-// Each configuration is (mode, submitter threads, shape): 1/4/16 concurrent
-// submitters pushing a fixed number of Stream-K GEMMs, small and large
-// shapes.  GEMMs/sec plus the pool/spawn speedup are printed and the usual
-// CSV is emitted so later PRs have a trajectory point.
+// A process-wide persistent pool serves concurrent small-GEMM traffic:
+// submission is a queue push, inner regions recruit pool workers, the
+// compiled plan comes from the plan cache, and workspaces / CTA buffers
+// come from the runtime pools.  Each configuration is (submitter threads,
+// shape): 1/4/16 concurrent submitters pushing a fixed number of Stream-K
+// GEMMs through cpu::gemm, small and large shapes.  GEMMs/sec are printed
+// and the usual CSV is emitted (mode column "pool"), which
+// scripts/check_overhead.py compares between STREAMK_OBS=ON and OFF builds.
 
 #include <chrono>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cpu/executor.hpp"
 #include "cpu/gemm.hpp"
-#include "runtime/gemm_runtime.hpp"
-#include "runtime/workspace_pool.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
-#include "util/threading.hpp"
 
 namespace {
 
@@ -62,9 +45,8 @@ struct Workload {
 cpu::GemmOptions gemm_options() {
   // Stream-K with an 8-CTA grid and 8 workers -- the configuration a
   // server sizing its worker count to the machine would run.  Every call
-  // opens a real parallel region (the spawn backend must create 7 threads
-  // per call; the pool enqueues at most pool-width helpers), and the
-  // schedule spills, exercising the fixup workspace on both sides.
+  // opens a real parallel region (the pool enqueues at most pool-width
+  // helpers), and the schedule spills, exercising the fixup workspace.
   cpu::GemmOptions options;
   options.schedule = cpu::Schedule::kStreamK;
   options.block = {32, 32, 16};
@@ -73,28 +55,10 @@ cpu::GemmOptions gemm_options() {
   return options;
 }
 
-/// One pre-runtime GEMM: schedule recompiled per call (the old gemm() path
-/// compiled mapping -> decomposition -> plan on every invocation), workers
-/// spawned per region, workspace allocated per call.
-void spawn_world_gemm(const ShapeCase& sc, const cpu::Matrix<double>& a,
-                      const cpu::Matrix<double>& b, cpu::Matrix<double>& c,
-                      const cpu::GemmOptions& options) {
-  const core::WorkMapping mapping(sc.shape, options.block);
-  core::DecompositionSpec spec;
-  spec.kind = core::DecompositionKind::kStreamKBasic;
-  spec.grid = options.grid;
-  spec.sm_count = static_cast<std::int64_t>(options.workers);
-  const auto decomposition = core::make_decomposition(spec, mapping);
-  cpu::ExecutorOptions exec;
-  exec.workers = options.workers;
-  cpu::execute_decomposition<double, double, double>(*decomposition, a, b, c,
-                                                     exec);
-}
-
 /// Runs `total_jobs` GEMMs of `sc` from `submitters` concurrent threads,
 /// every submitter blocking on each call (closed-loop traffic).
-double run_workload(const std::string& mode, const ShapeCase& sc,
-                    std::size_t submitters, int total_jobs) {
+double run_workload(const ShapeCase& sc, std::size_t submitters,
+                    int total_jobs) {
   const cpu::GemmOptions options = gemm_options();
   const int per_thread = total_jobs / static_cast<int>(submitters);
 
@@ -119,11 +83,7 @@ double run_workload(const std::string& mode, const ShapeCase& sc,
     threads.emplace_back([&, t] {
       Operands& op = operands[t];
       for (int i = 0; i < per_thread; ++i) {
-        if (mode == "spawn") {
-          spawn_world_gemm(sc, op.a, op.b, op.c, options);
-        } else {
-          cpu::gemm(op.a, op.b, op.c, options);
-        }
+        cpu::gemm(op.a, op.b, op.c, options);
       }
     });
   }
@@ -138,7 +98,7 @@ double run_workload(const std::string& mode, const ShapeCase& sc,
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::parse_bench_args(argc, argv);
   bench::print_header(
-      "persistent pool vs spawn-per-call submission throughput",
+      "persistent pool submission throughput",
       "runtime scaling substrate (no paper figure)");
 
   std::vector<ShapeCase> shapes = {
@@ -155,36 +115,19 @@ int main(int argc, char** argv) {
   for (const ShapeCase& sc : shapes) {
     int total_jobs = sc.shape.m >= 128 ? 32 : 320;
     if (opts.smoke) total_jobs /= 4;
-    for (const std::string& mode : {std::string("spawn"),
-                                    std::string("pool")}) {
-      if (mode == "spawn") {
-        // Reconstruct the pre-runtime world: no pool workers, spawning
-        // parallel regions, allocate-per-call workspaces.
-        runtime::global_pool().shutdown();
-        util::set_parallel_backend(util::ParallelBackend::kSpawn);
-        runtime::set_workspace_pooling(false);
-      } else {
-        util::set_parallel_backend(util::ParallelBackend::kPool);
-        runtime::set_workspace_pooling(true);
-        runtime::global_pool().restart();  // hardware-sized persistent pool
-      }
-      for (const std::size_t submitters : submitter_counts) {
-        Workload w;
-        w.mode = mode;
-        w.submitters = submitters;
-        w.shape_case = sc;
-        w.total_jobs = (total_jobs / static_cast<int>(submitters)) *
-                       static_cast<int>(submitters);
-        // Warm-up round outside the measurement (first-touch, pool spin-up).
-        run_workload(mode, sc, submitters, static_cast<int>(submitters));
-        w.seconds = run_workload(mode, sc, submitters, w.total_jobs);
-        results.push_back(w);
-      }
+    for (const std::size_t submitters : submitter_counts) {
+      Workload w;
+      w.mode = "pool";
+      w.submitters = submitters;
+      w.shape_case = sc;
+      w.total_jobs = (total_jobs / static_cast<int>(submitters)) *
+                     static_cast<int>(submitters);
+      // Warm-up round outside the measurement (first-touch, pool spin-up).
+      run_workload(sc, submitters, static_cast<int>(submitters));
+      w.seconds = run_workload(sc, submitters, w.total_jobs);
+      results.push_back(w);
     }
   }
-  util::set_parallel_backend(util::ParallelBackend::kPool);
-  runtime::set_workspace_pooling(true);
-  runtime::global_pool().restart();
 
   const std::string csv_path =
       opts.csv_path.empty() ? "runtime_throughput.csv" : opts.csv_path;
@@ -201,25 +144,12 @@ int main(int argc, char** argv) {
              util::CsvWriter::cell(w.gemms_per_sec())});
   }
 
-  // Paired speedup table.
-  std::map<std::pair<std::string, std::size_t>, double> spawn_rate;
-  for (const Workload& w : results) {
-    if (w.mode == "spawn") {
-      spawn_rate[{w.shape_case.label, w.submitters}] = w.gemms_per_sec();
-    }
-  }
   std::cout << std::fixed << std::setprecision(1);
-  std::cout << "\nshape              submitters  spawn GEMM/s  pool GEMM/s  "
-               "speedup\n";
+  std::cout << "\nshape              submitters  pool GEMM/s\n";
   for (const Workload& w : results) {
-    if (w.mode != "pool") continue;
-    const double spawn = spawn_rate[{w.shape_case.label, w.submitters}];
-    const double speedup = spawn > 0.0 ? w.gemms_per_sec() / spawn : 0.0;
     std::cout << std::left << std::setw(19) << w.shape_case.label
-              << std::right << std::setw(10) << w.submitters << std::setw(14)
-              << spawn << std::setw(13) << w.gemms_per_sec() << std::setw(8)
-              << std::setprecision(2) << speedup << "x\n"
-              << std::setprecision(1);
+              << std::right << std::setw(10) << w.submitters << std::setw(13)
+              << w.gemms_per_sec() << "\n";
     bench::report_case(w.shape_case.label + std::string(" pool s") +
                            std::to_string(w.submitters) + " rate",
                        "gemms_per_sec", true, w.gemms_per_sec());

@@ -61,13 +61,7 @@ struct TileGeometry {
 
   /// Panel-cache keys (row, col) of `tile` in the arena's slot grid.
   std::pair<std::int64_t, std::int64_t> panel_keys(std::int64_t tile) const {
-    if (grouped != nullptr) {
-      const core::GroupedTileRef ref = grouped->tile_ref(tile);
-      const core::GroupedProblem& prob = grouped->problem(ref.problem);
-      return {prob.row_panel_offset + ref.tm, prob.col_panel_offset + ref.tn};
-    }
-    const core::TileCoord coord = plan.mapping().tile_coord(tile);
-    return {coord.tm, coord.tn};
+    return plan.panel_keys(plan.tile_ref(tile));
   }
 };
 

@@ -1,7 +1,6 @@
 #include "conv/implicit_gemm.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <vector>
 
 #include "core/schedule_plan.hpp"
@@ -9,7 +8,6 @@
 #include "cpu/mac_loop.hpp"
 #include "epilogue/apply.hpp"
 #include "runtime/gemm_runtime.hpp"
-#include "util/threading.hpp"
 
 namespace streamk::conv {
 
@@ -227,65 +225,30 @@ void execute_conv_plan(const core::SchedulePlan& plan, const ConvShape& conv,
       options, &cache_config);
 }
 
-template <typename In, typename Acc, typename Out>
-void execute_conv(const core::Decomposition& decomposition,
-                  const ConvShape& conv, const Tensor4<In>& input,
-                  const Tensor4<In>& filter, Tensor4<Out>& output,
-                  const cpu::ExecutorOptions& options) {
-  const core::SchedulePlan plan = core::compile_plan(decomposition);
-  execute_conv_plan<In, Acc, Out>(plan, conv, input, filter, output, options);
-}
-
 namespace {
 
 template <typename In, typename Acc, typename Out>
-cpu::GemmReport conv_forward_blocking(const ConvShape& conv,
-                                      const Tensor4<In>& input,
-                                      const Tensor4<In>& filter,
-                                      Tensor4<Out>& output,
-                                      const cpu::GemmOptions& caller_options) {
+cpu::GemmReport conv_forward_job(const ConvShape& conv,
+                                 const Tensor4<In>& input,
+                                 const Tensor4<In>& filter,
+                                 Tensor4<Out>& output,
+                                 const cpu::GemmOptions& options) {
   util::check(conv.valid(), "invalid convolution shape");
-  gpu::Precision precision = gpu::Precision::kFp64;
-  if constexpr (std::is_same_v<In, float>) precision = gpu::Precision::kFp32;
-
   // Tuning-db key: the implicit-GEMM shape the convolution lowers to.
   // Lookup only: a background find job would measure a dense GEMM of this
   // shape, not the gather-heavy convolution it stands in for.
-  const cpu::GemmOptions options =
-      cpu::apply_tuned_dispatch(conv.gemm_shape(), precision, caller_options,
-                                /*allow_background_find=*/false);
-  const gpu::BlockShape block = options.block.valid()
-                                    ? options.block
-                                    : cpu::default_cpu_block(precision);
-  const core::WorkMapping mapping(conv.gemm_shape(), block);
-  const std::size_t workers =
-      options.workers > 0 ? options.workers : util::default_workers();
-  const core::DecompositionSpec spec =
-      cpu::resolve_schedule(options, mapping, precision, workers);
-  const core::PlanCache::PlanPtr plan = runtime::plan_cache().obtain(
-      core::make_plan_key(mapping, spec), mapping, spec);
-
-  cpu::ExecutorOptions exec;
-  exec.workers = workers;
-  exec.alpha = options.alpha;
-  exec.beta = options.beta;
-  exec.epilogue = options.epilogue;
-  exec.panel_cache = options.panel_cache;
-
-  const auto start = std::chrono::steady_clock::now();
-  execute_conv_plan<In, Acc, Out>(*plan, conv, input, filter, output, exec);
-  const auto stop = std::chrono::steady_clock::now();
-
-  cpu::GemmReport report;
-  report.spec = spec;
-  report.schedule_name = plan->name();
-  report.grid = plan->grid();
-  report.tiles = mapping.tiles();
-  report.spills = plan->total_spills();
-  report.seconds = std::chrono::duration<double>(stop - start).count();
-  report.gflops =
-      report.seconds > 0.0 ? conv.flops() / report.seconds / 1e9 : 0.0;
-  return report;
+  const core::GemmShape shape = conv.gemm_shape();
+  return runtime::run_front_end(
+      options, cpu::precision_of<In>(), shape, /*group_digest=*/0,
+      /*allow_background_find=*/false, shape.k, conv.flops(),
+      [&](const gpu::BlockShape& block, const cpu::GemmOptions&) {
+        return core::WorkMapping(shape, block);
+      },
+      runtime::single_plan,
+      [&](const core::SchedulePlan& plan, const cpu::ExecutorOptions& exec) {
+        execute_conv_plan<In, Acc, Out>(plan, conv, input, filter, output,
+                                        exec);
+      });
 }
 
 }  // namespace
@@ -296,11 +259,7 @@ template <typename In, typename Acc, typename Out>
 cpu::GemmReport conv_forward(const ConvShape& conv, const Tensor4<In>& input,
                              const Tensor4<In>& filter, Tensor4<Out>& output,
                              const cpu::GemmOptions& options) {
-  return runtime::global_pool()
-      .async([&conv, &input, &filter, &output, options] {
-        return conv_forward_blocking<In, Acc, Out>(conv, input, filter,
-                                                   output, options);
-      })
+  return runtime::submit_conv_forward(conv, input, filter, output, options)
       .get();
 }
 
@@ -320,13 +279,6 @@ template void execute_conv_plan<float, float, float>(
     const core::SchedulePlan&, const ConvShape&, const Tensor4<float>&,
     const Tensor4<float>&, Tensor4<float>&, const cpu::ExecutorOptions&);
 
-template void execute_conv<double, double, double>(
-    const core::Decomposition&, const ConvShape&, const Tensor4<double>&,
-    const Tensor4<double>&, Tensor4<double>&, const cpu::ExecutorOptions&);
-template void execute_conv<float, float, float>(
-    const core::Decomposition&, const ConvShape&, const Tensor4<float>&,
-    const Tensor4<float>&, Tensor4<float>&, const cpu::ExecutorOptions&);
-
 template cpu::GemmReport conv_forward<double, double, double>(
     const ConvShape&, const Tensor4<double>&, const Tensor4<double>&,
     Tensor4<double>&, const cpu::GemmOptions&);
@@ -343,10 +295,9 @@ GemmHandle submit_conv_forward(const conv::ConvShape& conv,
                                const conv::Tensor4<double>& filter,
                                conv::Tensor4<double>& output,
                                const cpu::GemmOptions& options) {
-  return global_pool().async([&conv, &input, &filter, &output, options] {
-    return conv::conv_forward_blocking<double, double, double>(
-        conv, input, filter, output, options);
-  });
+  return submit_job(conv::conv_forward_job<double, double, double>,
+                    std::cref(conv), std::cref(input), std::cref(filter),
+                    std::ref(output), options);
 }
 
 GemmHandle submit_conv_forward(const conv::ConvShape& conv,
@@ -354,10 +305,9 @@ GemmHandle submit_conv_forward(const conv::ConvShape& conv,
                                const conv::Tensor4<float>& filter,
                                conv::Tensor4<float>& output,
                                const cpu::GemmOptions& options) {
-  return global_pool().async([&conv, &input, &filter, &output, options] {
-    return conv::conv_forward_blocking<float, float, float>(
-        conv, input, filter, output, options);
-  });
+  return submit_job(conv::conv_forward_job<float, float, float>,
+                    std::cref(conv), std::cref(input), std::cref(filter),
+                    std::ref(output), options);
 }
 
 }  // namespace streamk::runtime

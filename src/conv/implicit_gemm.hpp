@@ -37,13 +37,6 @@ void execute_conv_plan(const core::SchedulePlan& plan, const ConvShape& conv,
                        Tensor4<Out>& output,
                        const cpu::ExecutorOptions& options = {});
 
-/// Convenience overload: compiles `decomposition` and executes the plan.
-template <typename In, typename Acc, typename Out>
-void execute_conv(const core::Decomposition& decomposition,
-                  const ConvShape& conv, const Tensor4<In>& input,
-                  const Tensor4<In>& filter, Tensor4<Out>& output,
-                  const cpu::ExecutorOptions& options = {});
-
 /// Front end: schedule selected per cpu::GemmOptions (kAuto plans over the
 /// implicit-GEMM tile space).
 template <typename In, typename Acc, typename Out>
@@ -63,13 +56,6 @@ extern template void execute_conv_plan<double, double, double>(
     const Tensor4<double>&, Tensor4<double>&, const cpu::ExecutorOptions&);
 extern template void execute_conv_plan<float, float, float>(
     const core::SchedulePlan&, const ConvShape&, const Tensor4<float>&,
-    const Tensor4<float>&, Tensor4<float>&, const cpu::ExecutorOptions&);
-
-extern template void execute_conv<double, double, double>(
-    const core::Decomposition&, const ConvShape&, const Tensor4<double>&,
-    const Tensor4<double>&, Tensor4<double>&, const cpu::ExecutorOptions&);
-extern template void execute_conv<float, float, float>(
-    const core::Decomposition&, const ConvShape&, const Tensor4<float>&,
     const Tensor4<float>&, Tensor4<float>&, const cpu::ExecutorOptions&);
 
 extern template cpu::GemmReport conv_forward<double, double, double>(

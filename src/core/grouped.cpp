@@ -70,11 +70,11 @@ std::size_t GroupedMapping::problem_of_iter(std::int64_t iter) const {
   return lo;
 }
 
-GroupedTileRef GroupedMapping::tile_ref(std::int64_t tile) const {
+TileRef GroupedMapping::tile_ref(std::int64_t tile) const {
   const std::size_t p = problem_of_tile(tile);
   const GroupedProblem& prob = problems_[p];
   const std::int64_t local = tile - prob.tile_offset;
-  return GroupedTileRef{p, local / prob.tiles_n, local % prob.tiles_n};
+  return TileRef{p, local / prob.tiles_n, local % prob.tiles_n};
 }
 
 std::int64_t GroupedMapping::iters_per_tile(std::int64_t tile) const {
@@ -118,12 +118,6 @@ std::vector<GemmShape> GroupedMapping::shapes() const {
   out.reserve(problems_.size());
   for (const GroupedProblem& p : problems_) out.push_back(p.shape);
   return out;
-}
-
-double GroupedMapping::flops() const {
-  double sum = 0.0;
-  for (const GroupedProblem& p : problems_) sum += p.shape.flops();
-  return sum;
 }
 
 std::int64_t grouped_grid_size(const GroupedMapping& grouped,

@@ -2,12 +2,10 @@
 
 // Multi-problem (grouped / ragged-batch) work mapping.
 //
-// cpu/batched.hpp dissolves the batch boundary for *uniform* batches by
-// stacking identical tile grids along a padded virtual m axis.  Grouped GEMM
-// removes the remaining assumption: every problem brings its own (m, n, k)
-// -- hence its own tile count AND its own iterations-per-tile -- and the
-// per-problem linearized iteration spaces are concatenated into one global
-// domain:
+// Every problem brings its own (m, n, k) -- hence its own tile count AND its
+// own iterations-per-tile -- and the per-problem linearized iteration spaces
+// are concatenated into one global domain (a uniform batch, cpu/batched.hpp,
+// is simply a group of identical shapes):
 //
 //     global tile  = problem.tile_offset + (tm * tiles_n(p) + tn)
 //     global iter  = problem.iter_offset + local_tile * ipt(p) + local_k
@@ -50,8 +48,9 @@ struct GroupedProblem {
 };
 
 /// A global tile resolved to its owning problem and problem-local block
-/// coordinates.
-struct GroupedTileRef {
+/// coordinates (core::SchedulePlan::tile_ref resolves single-problem and
+/// grouped plans alike).
+struct TileRef {
   std::size_t problem = 0;
   std::int64_t tm = 0;
   std::int64_t tn = 0;
@@ -80,7 +79,7 @@ class GroupedMapping {
 
   std::size_t problem_of_tile(std::int64_t tile) const;
   std::size_t problem_of_iter(std::int64_t iter) const;
-  GroupedTileRef tile_ref(std::int64_t tile) const;
+  TileRef tile_ref(std::int64_t tile) const;
   std::int64_t iters_per_tile(std::int64_t tile) const;
   std::int64_t tile_iter_begin(std::int64_t tile) const;
 
@@ -91,8 +90,6 @@ class GroupedMapping {
 
   /// The shapes in group order (the plan-cache key component).
   std::vector<GemmShape> shapes() const;
-
-  double flops() const;
 
  private:
   gpu::BlockShape block_;

@@ -7,41 +7,10 @@
 #include <utility>
 
 #include "analysis/analyze.hpp"
-#include "core/tile_order.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 
 namespace streamk::core {
-
-namespace {
-
-/// Cache-aware issue-window size for `mapping`: the largest power-of-two
-/// count of consecutively issued tiles whose average distinct-panel
-/// footprint (one panel_kc-deep chunk per touched panel, element-counted
-/// with panel_touch_cost) still fits PanelCacheGeometry's shared-cache
-/// budget.  Windows are monotone -- doubling the window can only merge
-/// panel touches -- so the first over-budget width ends the sweep.
-std::int64_t choose_tile_window(const WorkMapping& mapping,
-                                std::int64_t panel_kc) {
-  const std::int64_t tiles = mapping.tiles();
-  if (tiles <= 1 || panel_kc <= 0) return 1;
-  const gpu::BlockShape blk = mapping.block();
-  const std::int64_t panel_elems = std::max(blk.m, blk.n) * panel_kc;
-  if (panel_elems <= 0) return 1;
-
-  std::int64_t best = 1;
-  for (std::int64_t w = 2; w <= tiles; w *= 2) {
-    const std::int64_t cost = windowed_panel_cost(
-        mapping.tile_order(), mapping.tiles_m(), mapping.tiles_n(), w);
-    const std::int64_t windows = ceil_div(tiles, w);
-    const std::int64_t footprint = (cost / windows) * panel_elems;
-    if (footprint > PanelCacheGeometry::kWindowElementBudget) break;
-    best = w;
-  }
-  return best;
-}
-
-}  // namespace
 
 /// Keyed on the op chain itself -- the compiled plan depends only on
 /// structure, never on bindings.  A linear scan over the few distinct
@@ -91,8 +60,6 @@ SchedulePlan::SchedulePlan(const Decomposition& decomposition)
   panel_geometry_.chunks =
       ceil_div(mapping_.iters_per_tile(), pack_geometry_.chunk_iters);
   panel_geometry_.shareable = tiles_ >= 2;
-  panel_geometry_.tile_window =
-      choose_tile_window(mapping_, pack_geometry_.panel_kc);
 
   build_contributor_index();
 }
@@ -138,9 +105,6 @@ SchedulePlan::SchedulePlan(const GroupedMapping& grouped,
   }
   panel_geometry_.chunks = chunks;
   panel_geometry_.shareable = shareable;
-  // Consecutive global tiles may belong to different problems, so the
-  // cache-aware window model (which assumes one tile grid) does not apply.
-  panel_geometry_.tile_window = 1;
 
   build_contributor_index();
 }
@@ -247,6 +211,19 @@ std::span<const TileSegment> SchedulePlan::cta_segments(
   const auto end = static_cast<std::size_t>(
       cta_offsets_[static_cast<std::size_t>(cta) + 1]);
   return std::span<const TileSegment>(segments_.data() + begin, end - begin);
+}
+
+TileRef SchedulePlan::tile_ref(std::int64_t tile) const {
+  if (grouped_ != nullptr) return grouped_->tile_ref(tile);
+  const TileCoord coord = mapping_.tile_coord(tile);
+  return TileRef{0, coord.tm, coord.tn};
+}
+
+std::pair<std::int64_t, std::int64_t> SchedulePlan::panel_keys(
+    const TileRef& ref) const {
+  if (grouped_ == nullptr) return {ref.tm, ref.tn};
+  const GroupedProblem& prob = grouped_->problem(ref.problem);
+  return {prob.row_panel_offset + ref.tm, prob.col_panel_offset + ref.tn};
 }
 
 std::int64_t SchedulePlan::tile_owner(std::int64_t tile) const {

@@ -41,6 +41,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/decomposition.hpp"
@@ -73,26 +74,13 @@ struct PackedPanelGeometry {
 /// chunk grid is anchored at absolute k = 0 with the pack_geometry() depth,
 /// which coincides with the per-CTA chunk walk exactly for segments whose
 /// start is panel_kc-aligned -- misaligned chunks simply bypass the cache,
-/// so the FP summation trees (and bitwise results) never change.
-///
-/// `tile_window` is the cache-aware issue-window size: consecutive linear
-/// tile ids are claimed in descending order, so a window of w concurrently
-/// running CTAs touches the panel working set panel_touch_cost() models.
-/// The plan picks the largest power-of-two window whose average per-window
-/// panel footprint still fits the shared-cache budget, so tiles that share
-/// panels run while those panels are resident (and, with the cache, while
-/// their READY slots are hot).
+/// so the FP summation trees (and bitwise results) never change.  Grouped
+/// plans lay every problem's panels side by side (SchedulePlan::panel_keys).
 struct PanelCacheGeometry {
-  /// Per-window packed-panel footprint budget, in *elements* (plans are
-  /// dtype-agnostic; sized for 8-byte accumulators this is ~4 MiB, a
-  /// conservative slice of a desktop L3).
-  static constexpr std::int64_t kWindowElementBudget = 512 * 1024;
-
   std::int64_t row_panels = 0;   ///< A row-panel count (tiles_m)
   std::int64_t col_panels = 0;   ///< B column-panel count (tiles_n)
   std::int64_t chunks = 0;       ///< k-chunks per panel at pack panel_kc
   std::int64_t panel_kc = 0;     ///< == pack_geometry().panel_kc
-  std::int64_t tile_window = 1;  ///< cache-aware consecutive-issue window
   /// Sharing can pay only when at least two tiles exist (otherwise every
   /// panel has exactly one consumer and the arena is pure overhead).
   bool shareable = false;
@@ -136,6 +124,17 @@ class SchedulePlan {
   std::span<const TileSegment> cta_segments(std::int64_t cta) const;
   bool cta_empty(std::int64_t cta) const { return cta_segments(cta).empty(); }
 
+  /// Resolves global tile `tile` to (problem, tm, tn): the mapping's tile
+  /// order for single-problem plans (always problem 0), problem-major
+  /// row-major order for grouped ones.  The one tile decoder every
+  /// executor and analyzer uses.
+  TileRef tile_ref(std::int64_t tile) const;
+
+  /// Panel-cache slot keys (A row-panel, B column-panel) of `ref`:
+  /// problem-qualified through the group's panel offsets, since two
+  /// problems' tiles at equal local coordinates read different operands.
+  std::pair<std::int64_t, std::int64_t> panel_keys(const TileRef& ref) const;
+
   /// Every segment of the schedule, CTA-major.
   std::span<const TileSegment> segments() const { return segments_; }
 
@@ -173,7 +172,7 @@ class SchedulePlan {
   /// Packed-panel chunking the CPU microkernel path uses for this plan.
   const PackedPanelGeometry& pack_geometry() const { return pack_geometry_; }
 
-  /// Shared panel-cache slot geometry and cache-aware tile window.
+  /// Shared panel-cache slot geometry.
   const PanelCacheGeometry& panel_geometry() const { return panel_geometry_; }
 
   /// Dispatch waves on a device exposing `slots` residency slots.

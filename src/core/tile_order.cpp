@@ -1,10 +1,7 @@
 #include "core/tile_order.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <map>
-#include <mutex>
 
 #include "util/check.hpp"
 
@@ -116,34 +113,6 @@ std::int64_t panel_touch_cost(const TileOrdering& ordering,
       }
     }
   }
-  return cost;
-}
-
-std::int64_t windowed_panel_cost(TileOrder order, std::int64_t tiles_m,
-                                 std::int64_t tiles_n, std::int64_t window) {
-  util::check(window >= 1, "window must be >= 1");
-  // Bounded memo: distinct (order, grid, window) tuples a process touches
-  // come from its plan population, but a corpus sweep over unbounded shapes
-  // must not grow this map without limit -- past the cap, compute uncached.
-  static constexpr std::size_t kMaxEntries = 1 << 14;
-  using Key = std::array<std::int64_t, 4>;
-  static std::mutex mutex;
-  static std::map<Key, std::int64_t> memo;
-
-  const Key key{static_cast<std::int64_t>(order), tiles_m, tiles_n, window};
-  {
-    std::lock_guard lock(mutex);
-    const auto it = memo.find(key);
-    if (it != memo.end()) return it->second;
-  }
-  // Compute outside the lock: the Morton permutation build and the O(tiles)
-  // sweep are the expensive part, and concurrent misses of different keys
-  // must not serialize.  A lost race just recomputes the same pure value.
-  const TileOrdering ordering(order, tiles_m, tiles_n);
-  const std::int64_t cost =
-      panel_touch_cost(ordering, tiles_m, tiles_n, window);
-  std::lock_guard lock(mutex);
-  if (memo.size() < kMaxEntries) memo.emplace(key, cost);
   return cost;
 }
 

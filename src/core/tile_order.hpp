@@ -65,14 +65,4 @@ std::int64_t panel_touch_cost(const TileOrdering& ordering,
                               std::int64_t tiles_m, std::int64_t tiles_n,
                               std::int64_t window);
 
-/// Memoized panel_touch_cost for plan-compile-time use.  Plan compilation
-/// sweeps candidate windows over one grid, and the planner / plan cache
-/// recompile many schedules over the same (order, grid) -- so results are
-/// cached process-wide (mutex-guarded, bounded map).  The cost itself is a
-/// pure function of the four arguments; the Morton permutation a direct
-/// panel_touch_cost call would rebuild per sweep step is paid at most once
-/// per cached entry.
-std::int64_t windowed_panel_cost(TileOrder order, std::int64_t tiles_m,
-                                 std::int64_t tiles_n, std::int64_t window);
-
 }  // namespace streamk::core

@@ -1,18 +1,11 @@
 #include "cpu/batched.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <type_traits>
 #include <vector>
 
-#include "core/schedule_plan.hpp"
-#include "cpu/decomposed_runner.hpp"
-#include "cpu/mac_loop.hpp"
 #include "cpu/reference.hpp"
-#include "epilogue/apply.hpp"
 #include "runtime/gemm_runtime.hpp"
 #include "tuner/tuning_db.hpp"
-#include "util/threading.hpp"
 
 namespace streamk::cpu {
 
@@ -22,265 +15,75 @@ core::WorkMapping batched_mapping(const BatchedShape& batched,
   util::check(block.valid(), "invalid block shape");
   const std::int64_t tiles_m = core::ceil_div(batched.shape.m, block.m);
   // Stack the per-entry tile grids along m.  The virtual m is padded to the
-  // block so each entry owns a whole number of tile rows; executors resolve
-  // ragged extents per entry (the virtual mapping must stay row-major so
-  // the entry math below holds).
+  // block so each entry owns a whole number of tile rows, which is what
+  // makes the stacked numbering equal the uniform group's.
   const core::GemmShape virtual_shape{batched.batch * tiles_m * block.m,
                                       batched.shape.n, batched.shape.k};
   return core::WorkMapping(virtual_shape, block);
 }
 
-BatchedTile batched_tile(const BatchedShape& batched, gpu::BlockShape block,
-                         std::int64_t tile_idx) {
-  const std::int64_t tiles_m = core::ceil_div(batched.shape.m, block.m);
-  const std::int64_t tiles_n = core::ceil_div(batched.shape.n, block.n);
-  util::check(tile_idx >= 0 &&
-                  tile_idx < batched.batch * tiles_m * tiles_n,
-              "batched tile index out of range");
-  const std::int64_t vtm = tile_idx / tiles_n;
-  return BatchedTile{vtm / tiles_m, vtm % tiles_m, tile_idx % tiles_n};
-}
-
 namespace {
 
-/// Packs one batch entry's operands and accumulates the segment's MAC-loop
-/// iterations (the batched analogue of run_mac_segment).  Extents come from
-/// the entry's real shape, not the virtual stacked mapping, so the m-padding
-/// rows between entries are never packed or multiplied.
-/// `row_key`/`col_key` name this tile's panels in the shared cache's grid:
-/// entry-qualified, since two entries' tiles at the same local coordinates
-/// read different operand matrices.
-template <typename In, typename Acc>
-void batched_mac_segment(const Matrix<In>& a, const Matrix<In>& b,
-                         const core::GemmShape& shape,
-                         const gpu::BlockShape& blk, const BatchedTile& tile,
-                         const core::TileSegment& seg, std::span<Acc> accum,
-                         MacScratch<Acc>& scratch, PanelCache<Acc>* cache,
-                         std::int64_t row_key, std::int64_t col_key) {
-  const std::int64_t mm = tile.local_tm * blk.m;
-  const std::int64_t nn = tile.tn * blk.n;
-  const std::int64_t em = std::min(blk.m, shape.m - mm);
-  const std::int64_t en = std::min(blk.n, shape.n - nn);
-
-  const std::int64_t k_begin = seg.iter_begin * blk.k;
-  const std::int64_t k_end = std::min(seg.iter_end * blk.k, shape.k);
-  run_cached_chunks<Acc>(
-      cache, row_key, col_key, em, en, k_begin, k_end, shape.k,
-      scratch.panel_kc(),
-      [&](std::int64_t k0, std::int64_t kc, Acc* dst) {
-        pack_a_matrix(a, mm, em, k0, kc, dst);
-      },
-      [&](std::int64_t k0, std::int64_t kc, Acc* dst) {
-        pack_b_matrix(b, k0, kc, nn, en, dst);
-      },
-      scratch.packs, accum.data(), blk.n);
-}
-
-/// Epilogue for one batch entry's tile.  Row-indexed epilogue bindings
-/// (bias_row, reductions) are indexed by the *stacked* global row
-/// `entry * m + i`, so one spec covers the whole batch; the output pointer
-/// is entry-local.
-template <typename Acc, typename Out>
-void batched_store_tile(const epilogue::EpiloguePlan& eplan,
-                        const core::GemmShape& shape,
-                        const gpu::BlockShape& blk, const BatchedTile& tile,
-                        std::span<const Acc> accum, Matrix<Out>& c,
-                        const ExecutorOptions& options) {
-  const std::int64_t mm = tile.local_tm * blk.m;
-  const std::int64_t nn = tile.tn * blk.n;
-  const std::int64_t em = std::min(blk.m, shape.m - mm);
-  const std::int64_t en = std::min(blk.n, shape.n - nn);
-  epilogue::apply_tile<Acc, Out>(
-      eplan, options.epilogue, options.alpha, options.beta,
-      tile.entry * shape.m + mm, nn, em, en, shape.n, accum.data(), blk.n,
-      c.row_ptr(mm) + nn, c.cols());
-}
-
-}  // namespace
-
 template <typename In, typename Acc, typename Out>
-void execute_batched_plan(const core::SchedulePlan& plan,
-                          const BatchedShape& batched,
-                          std::span<const Matrix<In>> as,
-                          std::span<const Matrix<In>> bs,
-                          std::span<Matrix<Out>> cs,
-                          const ExecutorOptions& options) {
-  util::check(batched.valid(), "invalid batched shape");
-  const auto batch = static_cast<std::size_t>(batched.batch);
-  util::check(as.size() == batch && bs.size() == batch && cs.size() == batch,
+GemmReport batched_gemm_job(std::span<const Matrix<In>> as,
+                            std::span<const Matrix<In>> bs,
+                            std::span<Matrix<Out>> cs,
+                            const GemmOptions& options) {
+  util::check(!as.empty(), "empty batch");
+  util::check(as.size() == bs.size() && as.size() == cs.size(),
               "batch operand count mismatch");
-  for (std::size_t i = 0; i < batch; ++i) {
-    const core::GemmShape s = product_shape(as[i], bs[i], cs[i]);
-    util::check(s == batched.shape, "batch entry shape mismatch");
-  }
-
-  const core::WorkMapping& mapping = plan.mapping();
-  const gpu::BlockShape& blk = mapping.block();
-  util::check(mapping.shape() ==
-                  batched_mapping(batched, blk).shape(),
-              "plan was not built over batched_mapping");
-
-  const epilogue::EpiloguePlanPtr eplan = plan.epilogue_plan(options.epilogue);
-  util::check(!eplan->needs_residual(),
+  util::check(std::none_of(options.epilogue.ops.begin(),
+                           options.epilogue.ops.end(),
+                           [](const epilogue::EpilogueOp& op) {
+                             return op.kind == epilogue::OpKind::kResidual;
+                           }),
               "batched GEMM does not support the residual epilogue op "
               "(one D matrix cannot address every batch entry)");
-  // Row-indexed bindings span the stacked batch * m rows.
-  epilogue::check_bindings(*eplan, options.epilogue,
-                           batched.batch * batched.shape.m, batched.shape.n,
-                           epilogue::tensor_type_of<Out>());
-
-  // The virtual stacked mapping already entry-qualifies the m axis (its
-  // tiles_m is batch * per-entry tiles_m), but the n axis is shared across
-  // entries in the plan -- and entries multiply *different* B matrices --
-  // so the cache grid widens col_panels to batch * tiles_n.
-  const std::int64_t tiles_m = core::ceil_div(batched.shape.m, blk.m);
-  const std::int64_t tiles_n = core::ceil_div(batched.shape.n, blk.n);
-  const core::PanelCacheGeometry& geo = plan.panel_geometry();
-  PanelCacheConfig cache_config;
-  cache_config.row_panels = mapping.tiles_m();  // == batch * tiles_m
-  cache_config.col_panels = batched.batch * tiles_n;
-  cache_config.chunks = geo.chunks;
-  cache_config.chunk_depth = geo.panel_kc;
-
-  run_decomposed<Acc>(
-      plan, blk.tile_elements(),
-      [&](const core::TileSegment& seg, std::span<Acc> accum,
-          MacScratch<Acc>& scratch, PanelCache<Acc>* cache) {
-        const BatchedTile tile = batched_tile(batched, blk, seg.tile_idx);
-        const auto entry = static_cast<std::size_t>(tile.entry);
-        batched_mac_segment<In, Acc>(as[entry], bs[entry], batched.shape, blk,
-                                     tile, seg, accum, scratch, cache,
-                                     tile.entry * tiles_m + tile.local_tm,
-                                     tile.entry * tiles_n + tile.tn);
-      },
-      [&](std::int64_t tile_idx, std::span<const Acc> accum) {
-        const BatchedTile tile = batched_tile(batched, blk, tile_idx);
-        batched_store_tile<Acc, Out>(*eplan, batched.shape, blk, tile, accum,
-                                     cs[static_cast<std::size_t>(tile.entry)],
-                                     options);
-      },
-      options, &cache_config);
-}
-
-template <typename In, typename Acc, typename Out>
-void execute_batched(const core::Decomposition& decomposition,
-                     const BatchedShape& batched,
-                     std::span<const Matrix<In>> as,
-                     std::span<const Matrix<In>> bs, std::span<Matrix<Out>> cs,
-                     const ExecutorOptions& options) {
-  const core::SchedulePlan plan = core::compile_plan(decomposition);
-  execute_batched_plan<In, Acc, Out>(plan, batched, as, bs, cs, options);
-}
-
-namespace {
-
-template <typename In, typename Acc, typename Out>
-GemmReport batched_gemm_blocking(std::span<const Matrix<In>> as,
-                                 std::span<const Matrix<In>> bs,
-                                 std::span<Matrix<Out>> cs,
-                                 const GemmOptions& caller_options) {
-  util::check(!as.empty(), "empty batch");
   BatchedShape batched;
   batched.batch = static_cast<std::int64_t>(as.size());
   batched.shape = product_shape(as[0], bs[0], cs[0]);
-
-  gpu::Precision precision = gpu::Precision::kFp64;
-  if constexpr (std::is_same_v<In, float>) precision = gpu::Precision::kFp32;
-  if constexpr (std::is_same_v<In, util::Half>) {
-    precision = gpu::Precision::kFp16F32;
+  std::vector<GemmProblem<In, Out>> problems;
+  problems.reserve(as.size());
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    util::check(product_shape(as[i], bs[i], cs[i]) == batched.shape,
+                "batch entry shape mismatch");
+    problems.push_back({as[i], bs[i], cs[i],
+                        static_cast<std::int64_t>(i) * batched.shape.m});
   }
 
   // Tuning-db key: a batch of identical shapes IS the grouped concatenation
   // of `batch` copies -- same tiles, same iterations per tile -- so it keys
-  // on the grouped shape-multiset digest.  The old key (the stacked plain
-  // GEMM shape {batch*m, n, k}) collided with a genuinely plain GEMM whose
-  // mapping tiles differently, so a record tuned for either silently
-  // mis-dispatched the other.  Lookup only: a background find job would
-  // measure a plain GEMM of the aggregate shape, not the batched mapping.
+  // on the grouped shape-multiset digest (the stacked plain shape
+  // {batch*m, n, k} would collide with a genuinely plain GEMM whose mapping
+  // tiles differently).  Lookup only: a background find job would measure
+  // a plain GEMM of the aggregate shape, not the batched schedule.
   const std::vector<core::GemmShape> group(
       static_cast<std::size_t>(batched.batch), batched.shape);
-  GemmOptions options = apply_tuned_dispatch(
-      tuner::group_key_shape(group), precision, caller_options,
-      /*allow_background_find=*/false, tuner::group_digest(group));
-  if (!tuned_dispatch_feasible(options, precision, batched.shape.k)) {
-    // A db record can legally disagree with the per-entry k (hand-edited
-    // files, digest collisions): run the caller's request rather than fail.
-    options = caller_options;
-  }
-  const gpu::BlockShape block =
-      options.block.valid() ? options.block : default_cpu_block(precision);
-  const core::WorkMapping mapping = batched_mapping(batched, block);
-  const std::size_t workers =
-      options.workers > 0 ? options.workers : util::default_workers();
-  const core::DecompositionSpec spec =
-      resolve_schedule(options, mapping, precision, workers);
-  const core::PlanCache::PlanPtr plan = runtime::plan_cache().obtain(
-      core::make_plan_key(mapping, spec), mapping, spec);
-
-  ExecutorOptions exec;
-  exec.workers = workers;
-  exec.alpha = options.alpha;
-  exec.beta = options.beta;
-  exec.epilogue = options.epilogue;
-  exec.panel_cache = options.panel_cache;
-
-  const auto start = std::chrono::steady_clock::now();
-  execute_batched_plan<In, Acc, Out>(*plan, batched, as, bs, cs, exec);
-  const auto stop = std::chrono::steady_clock::now();
-
-  GemmReport report;
-  report.spec = spec;
-  report.schedule_name = plan->name();
-  report.grid = plan->grid();
-  report.tiles = mapping.tiles();
-  report.spills = plan->total_spills();
-  report.seconds = std::chrono::duration<double>(stop - start).count();
-  report.gflops =
-      report.seconds > 0.0 ? batched.flops() / report.seconds / 1e9 : 0.0;
-  return report;
+  return runtime::run_front_end(
+      options, precision_of<In>(), tuner::group_key_shape(group),
+      tuner::group_digest(group), /*allow_background_find=*/false,
+      batched.shape.k, batched.flops(),
+      [&](const gpu::BlockShape& block, const GemmOptions&) {
+        return batched_mapping(batched, block);
+      },
+      [&](const core::WorkMapping& planner,
+          const core::DecompositionSpec& spec) {
+        return runtime::grouped_plan(group, planner.block(), spec);
+      },
+      [&](const core::SchedulePlan& plan, const ExecutorOptions& exec) {
+        execute_plan<In, Acc, Out>(plan, problems, exec);
+      });
 }
 
 }  // namespace
 
-// Sync front end: one pool job per batch (submit-then-get; see
-// runtime/gemm_runtime.hpp for the work-stealing guarantee).
 template <typename In, typename Acc, typename Out>
 GemmReport batched_gemm(std::span<const Matrix<In>> as,
                         std::span<const Matrix<In>> bs,
                         std::span<Matrix<Out>> cs,
                         const GemmOptions& options) {
-  return runtime::global_pool()
-      .async([as, bs, cs, options]() mutable {
-        return batched_gemm_blocking<In, Acc, Out>(as, bs, cs, options);
-      })
-      .get();
+  return runtime::submit_batched_gemm(as, bs, cs, options).get();
 }
-
-template void execute_batched_plan<double, double, double>(
-    const core::SchedulePlan&, const BatchedShape&,
-    std::span<const Matrix<double>>, std::span<const Matrix<double>>,
-    std::span<Matrix<double>>, const ExecutorOptions&);
-template void execute_batched_plan<float, float, float>(
-    const core::SchedulePlan&, const BatchedShape&,
-    std::span<const Matrix<float>>, std::span<const Matrix<float>>,
-    std::span<Matrix<float>>, const ExecutorOptions&);
-template void execute_batched_plan<util::Half, float, float>(
-    const core::SchedulePlan&, const BatchedShape&,
-    std::span<const Matrix<util::Half>>, std::span<const Matrix<util::Half>>,
-    std::span<Matrix<float>>, const ExecutorOptions&);
-
-template void execute_batched<double, double, double>(
-    const core::Decomposition&, const BatchedShape&,
-    std::span<const Matrix<double>>, std::span<const Matrix<double>>,
-    std::span<Matrix<double>>, const ExecutorOptions&);
-template void execute_batched<float, float, float>(
-    const core::Decomposition&, const BatchedShape&,
-    std::span<const Matrix<float>>, std::span<const Matrix<float>>,
-    std::span<Matrix<float>>, const ExecutorOptions&);
-template void execute_batched<util::Half, float, float>(
-    const core::Decomposition&, const BatchedShape&,
-    std::span<const Matrix<util::Half>>, std::span<const Matrix<util::Half>>,
-    std::span<Matrix<float>>, const ExecutorOptions&);
 
 template GemmReport batched_gemm<double, double, double>(
     std::span<const Matrix<double>>, std::span<const Matrix<double>>,
@@ -300,30 +103,24 @@ GemmHandle submit_batched_gemm(std::span<const cpu::Matrix<double>> as,
                                std::span<const cpu::Matrix<double>> bs,
                                std::span<cpu::Matrix<double>> cs,
                                const cpu::GemmOptions& options) {
-  return global_pool().async([as, bs, cs, options]() mutable {
-    return cpu::batched_gemm_blocking<double, double, double>(as, bs, cs,
-                                                              options);
-  });
+  return submit_job(cpu::batched_gemm_job<double, double, double>, as, bs,
+                    cs, options);
 }
 
 GemmHandle submit_batched_gemm(std::span<const cpu::Matrix<float>> as,
                                std::span<const cpu::Matrix<float>> bs,
                                std::span<cpu::Matrix<float>> cs,
                                const cpu::GemmOptions& options) {
-  return global_pool().async([as, bs, cs, options]() mutable {
-    return cpu::batched_gemm_blocking<float, float, float>(as, bs, cs,
-                                                           options);
-  });
+  return submit_job(cpu::batched_gemm_job<float, float, float>, as, bs, cs,
+                    options);
 }
 
 GemmHandle submit_batched_gemm(std::span<const cpu::Matrix<util::Half>> as,
                                std::span<const cpu::Matrix<util::Half>> bs,
                                std::span<cpu::Matrix<float>> cs,
                                const cpu::GemmOptions& options) {
-  return global_pool().async([as, bs, cs, options]() mutable {
-    return cpu::batched_gemm_blocking<util::Half, float, float>(as, bs, cs,
-                                                                options);
-  });
+  return submit_job(cpu::batched_gemm_job<util::Half, float, float>, as, bs,
+                    cs, options);
 }
 
 }  // namespace streamk::runtime

@@ -8,29 +8,26 @@
 // every small GEMM leaves its own partial wave.  Work-centric decomposition
 // dissolves the batch boundary the same way it dissolves tile boundaries:
 // the aggregate MAC-loop iteration space of all batch entries is one linear
-// domain, and any Decomposition (data-parallel, Stream-K, hybrid) schedules
-// it as a whole.
+// domain, and any decomposition (data-parallel, Stream-K, hybrid) schedules
+// it as a whole -- precisely the paper's "other GEMM-like workloads"
+// generalization (Section 7).
 //
-// Geometrically, a batch of B GEMMs of shape (m, n, k) is exposed to the
-// decomposition layer as a single virtual GEMM whose tile grid stacks the B
-// per-entry grids along m:
-//
-//     virtual tiles = B * tiles_m(m) * tiles_n(n), same iterations per tile.
-//
-// Only the executor needs to know which batch entry a tile belongs to; the
-// decomposition, validation, fixup, and simulation layers are unchanged --
-// precisely the paper's "other GEMM-like workloads" generalization
-// (Section 7).
+// A batch of B GEMMs of shape (m, n, k) runs as a *uniform group*
+// (core::GroupedMapping of B identical shapes) through the one GEMM-family
+// executor.  Its tile numbering -- problem-major, row-major within a
+// problem -- equals the stacked single-GEMM view batched_mapping() builds
+// (B * tiles_m(m) tile rows of the same iteration depth), so both compile
+// the same segment streams.  The stacked view remains what the kAuto
+// planner reasons over and what simulation uses.  Row-indexed epilogue
+// bindings (bias_row, row reductions) are indexed by the stacked row
+// entry * m + i, so one spec covers the whole batch; the residual op is
+// rejected (one D matrix cannot address every entry).
 
 #include <span>
 
 #include "core/decomposition.hpp"
 #include "cpu/gemm.hpp"
 #include "cpu/matrix.hpp"
-
-namespace streamk::core {
-class SchedulePlan;
-}  // namespace streamk::core
 
 namespace streamk::cpu {
 
@@ -46,71 +43,18 @@ struct BatchedShape {
 };
 
 /// The virtual single-GEMM work mapping whose tile space stacks all batch
-/// entries (use for constructing decompositions and for simulation).
+/// entries along m (what kAuto plans over, and what simulation uses).
 core::WorkMapping batched_mapping(const BatchedShape& batched,
                                   gpu::BlockShape block);
 
-/// Batch entry that owns virtual tile `tile_idx`, plus the entry-local tile
-/// row index.
-struct BatchedTile {
-  std::int64_t entry = 0;    ///< batch index
-  std::int64_t local_tm = 0; ///< tile row within the entry
-  std::int64_t tn = 0;       ///< tile column (shared across entries)
-};
-BatchedTile batched_tile(const BatchedShape& batched, gpu::BlockShape block,
-                         std::int64_t tile_idx);
-
-/// Executes a compiled plan (built over batched_mapping) across the batch:
-/// cs[i] = alpha * as[i].bs[i] + beta * cs[i] for every entry i.
-template <typename In, typename Acc, typename Out>
-void execute_batched_plan(const core::SchedulePlan& plan,
-                          const BatchedShape& batched,
-                          std::span<const Matrix<In>> as,
-                          std::span<const Matrix<In>> bs,
-                          std::span<Matrix<Out>> cs,
-                          const ExecutorOptions& options = {});
-
-/// Convenience overload: compiles `decomposition` and executes the plan.
-template <typename In, typename Acc, typename Out>
-void execute_batched(const core::Decomposition& decomposition,
-                     const BatchedShape& batched,
-                     std::span<const Matrix<In>> as,
-                     std::span<const Matrix<In>> bs, std::span<Matrix<Out>> cs,
-                     const ExecutorOptions& options = {});
-
-/// BLAS-like convenience: schedule chosen by GemmOptions (kAuto plans over
-/// the fused tile space).
+/// BLAS-like front end: cs[i] = alpha * as[i].bs[i] + beta * cs[i] for
+/// every entry i, one schedule over the whole batch chosen by GemmOptions
+/// (kAuto plans over batched_mapping).
 template <typename In, typename Acc, typename Out>
 GemmReport batched_gemm(std::span<const Matrix<In>> as,
                         std::span<const Matrix<In>> bs,
                         std::span<Matrix<Out>> cs,
                         const GemmOptions& options = {});
-
-extern template void execute_batched_plan<double, double, double>(
-    const core::SchedulePlan&, const BatchedShape&,
-    std::span<const Matrix<double>>, std::span<const Matrix<double>>,
-    std::span<Matrix<double>>, const ExecutorOptions&);
-extern template void execute_batched_plan<float, float, float>(
-    const core::SchedulePlan&, const BatchedShape&,
-    std::span<const Matrix<float>>, std::span<const Matrix<float>>,
-    std::span<Matrix<float>>, const ExecutorOptions&);
-extern template void execute_batched_plan<util::Half, float, float>(
-    const core::SchedulePlan&, const BatchedShape&,
-    std::span<const Matrix<util::Half>>, std::span<const Matrix<util::Half>>,
-    std::span<Matrix<float>>, const ExecutorOptions&);
-
-extern template void execute_batched<double, double, double>(
-    const core::Decomposition&, const BatchedShape&,
-    std::span<const Matrix<double>>, std::span<const Matrix<double>>,
-    std::span<Matrix<double>>, const ExecutorOptions&);
-extern template void execute_batched<float, float, float>(
-    const core::Decomposition&, const BatchedShape&,
-    std::span<const Matrix<float>>, std::span<const Matrix<float>>,
-    std::span<Matrix<float>>, const ExecutorOptions&);
-extern template void execute_batched<util::Half, float, float>(
-    const core::Decomposition&, const BatchedShape&,
-    std::span<const Matrix<util::Half>>, std::span<const Matrix<util::Half>>,
-    std::span<Matrix<float>>, const ExecutorOptions&);
 
 extern template GemmReport batched_gemm<double, double, double>(
     std::span<const Matrix<double>>, std::span<const Matrix<double>>,

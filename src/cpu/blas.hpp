@@ -5,66 +5,18 @@
 // Vendor GEMM APIs expose the transpose cross product (the paper's Section 2
 // mentions MAGMA's hgemm_tt() and cuBLAS's per-layout kernel specializations
 // -- part of why tile-centric ensembles balloon).  Here a single set of
-// decomposition machinery serves all four layouts: operands are accessed
-// through stride views, so a transposed A or B costs a different fragment
-// gather, never a different kernel.
+// decomposition machinery serves all four layouts: operands are
+// cpu::OperandView strided views, so a transposed A or B costs a different
+// pack walk, never a different kernel or executor.
 //
 //     C = alpha * op(A) . op(B) + beta * C,   op in {identity, transpose}
 //
 // Matrices are row-major; op(A) must be m x k and op(B) k x n.
 
-#include "core/decomposition.hpp"
 #include "cpu/gemm.hpp"
 #include "cpu/matrix.hpp"
 
-namespace streamk::core {
-class SchedulePlan;
-}  // namespace streamk::core
-
 namespace streamk::cpu {
-
-enum class Trans {
-  kNone,       ///< use the operand as stored
-  kTranspose,  ///< use the operand's transpose
-};
-
-/// Non-owning strided view of a (possibly transposed) matrix.
-template <typename T>
-class MatrixView {
- public:
-  MatrixView(const Matrix<T>& m, Trans trans)
-      : data_(m.data().data()),
-        rows_(trans == Trans::kNone ? m.rows() : m.cols()),
-        cols_(trans == Trans::kNone ? m.cols() : m.rows()),
-        row_stride_(trans == Trans::kNone ? m.cols() : 1),
-        col_stride_(trans == Trans::kNone ? 1 : m.cols()) {}
-
-  std::int64_t rows() const { return rows_; }
-  std::int64_t cols() const { return cols_; }
-
-  T at(std::int64_t r, std::int64_t c) const {
-    return data_[static_cast<std::size_t>(r * row_stride_ + c * col_stride_)];
-  }
-
- private:
-  const T* data_;
-  std::int64_t rows_;
-  std::int64_t cols_;
-  std::int64_t row_stride_;
-  std::int64_t col_stride_;
-};
-
-/// Executes a compiled plan over transposed views.
-template <typename In, typename Acc, typename Out>
-void execute_views_plan(const core::SchedulePlan& plan,
-                        const MatrixView<In>& a, const MatrixView<In>& b,
-                        Matrix<Out>& c, const ExecutorOptions& options = {});
-
-/// Convenience overload: compiles `decomposition` and executes the plan.
-template <typename In, typename Acc, typename Out>
-void execute_views(const core::Decomposition& decomposition,
-                   const MatrixView<In>& a, const MatrixView<In>& b,
-                   Matrix<Out>& c, const ExecutorOptions& options = {});
 
 /// FP64 GEMM with transposes (row-major dgemm analogue).
 GemmReport dgemm(Trans trans_a, Trans trans_b, double alpha,
@@ -82,25 +34,5 @@ GemmReport hgemm(Trans trans_a, Trans trans_b, double alpha,
                  const Matrix<util::Half>& a, const Matrix<util::Half>& b,
                  double beta, Matrix<float>& c,
                  const GemmOptions& options = {});
-
-extern template void execute_views_plan<double, double, double>(
-    const core::SchedulePlan&, const MatrixView<double>&,
-    const MatrixView<double>&, Matrix<double>&, const ExecutorOptions&);
-extern template void execute_views_plan<float, float, float>(
-    const core::SchedulePlan&, const MatrixView<float>&,
-    const MatrixView<float>&, Matrix<float>&, const ExecutorOptions&);
-extern template void execute_views_plan<util::Half, float, float>(
-    const core::SchedulePlan&, const MatrixView<util::Half>&,
-    const MatrixView<util::Half>&, Matrix<float>&, const ExecutorOptions&);
-
-extern template void execute_views<double, double, double>(
-    const core::Decomposition&, const MatrixView<double>&,
-    const MatrixView<double>&, Matrix<double>&, const ExecutorOptions&);
-extern template void execute_views<float, float, float>(
-    const core::Decomposition&, const MatrixView<float>&,
-    const MatrixView<float>&, Matrix<float>&, const ExecutorOptions&);
-extern template void execute_views<util::Half, float, float>(
-    const core::Decomposition&, const MatrixView<util::Half>&,
-    const MatrixView<util::Half>&, Matrix<float>&, const ExecutorOptions&);
 
 }  // namespace streamk::cpu

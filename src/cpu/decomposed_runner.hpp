@@ -2,8 +2,9 @@
 
 // Generic plan-driven execution skeleton.
 //
-// The single CTA loop behind every execution substrate (GEMM, batched GEMM,
-// implicit-GEMM convolution, transposed BLAS views): claim CTAs in
+// The single CTA loop behind both executors -- cpu::execute_plan (plain,
+// BLAS-view, batched and grouped GEMM over strided operand views) and
+// conv::execute_conv_plan (implicit-GEMM convolution): claim CTAs in
 // descending id order, run each segment's MAC functor into a local
 // accumulator, and apply the Stream-K fixup protocol -- spill + signal for
 // non-starting segments, await + serial reduce + store for owners.  Work
@@ -41,9 +42,9 @@
 
 namespace streamk::cpu {
 
-/// `cache_config` overrides the plan's panel-cache slot grid for substrates
-/// whose panel keys are not the plain (tm, tn) matrix panels (batched
-/// entries, convolution iterations); nullptr takes the plan geometry.
+/// `cache_config` overrides the plan's panel-cache slot grid for the one
+/// executor whose chunks are not the plan's pack chunks (convolution packs
+/// per MAC-loop iteration); nullptr takes the plan geometry.
 template <typename Acc, typename MacFn, typename StoreFn>
 void run_decomposed(const core::SchedulePlan& plan, std::int64_t tile_elements,
                     MacFn&& mac, StoreFn&& store,

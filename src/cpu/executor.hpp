@@ -19,6 +19,7 @@
 // descheduled rather than starving its producer.
 
 #include <cstddef>
+#include <span>
 
 #include "core/decomposition.hpp"
 #include "cpu/matrix.hpp"
@@ -55,38 +56,44 @@ struct ExecutorOptions {
   epilogue::EpilogueSpec epilogue;
 };
 
-/// Executes a compiled plan over real matrices: C = alpha * A.B + beta * C.
-/// The matrices must conform to the plan's GEMM shape.  Reusing one plan
-/// across calls amortizes schedule compilation entirely.
-template <typename In, typename Acc, typename Out>
-void execute_plan(const core::SchedulePlan& plan, const Matrix<In>& a,
-                  const Matrix<In>& b, Matrix<Out>& c,
-                  const ExecutorOptions& options = {});
+/// One GEMM of an execution: C = alpha * op(A) . op(B) + beta * C over
+/// strided views (A m x k, B k x n, C m x n with unit column stride).
+/// `epilogue_row0` offsets this problem's rows in the row-indexed epilogue
+/// bindings (bias_row, row reductions): a batch shares one spec over its
+/// stacked rows, entry i starting at row i * m.
+template <typename In, typename Out>
+struct GemmProblem {
+  OperandView<const In> a;
+  OperandView<const In> b;
+  OperandView<Out> c;
+  std::int64_t epilogue_row0 = 0;
+};
 
-/// Convenience overload: compiles `decomposition` and executes the plan.
+/// Executes a compiled plan over `problems`: one problem for a plan
+/// compiled from a WorkMapping, one per group member (in group order) for a
+/// plan compiled from a GroupedMapping.  Plain GEMM, BLAS views, batched and
+/// grouped GEMM all run here.  `problem_epilogues` is empty (options.epilogue
+/// serves every problem) or one spec per problem; all specs must share one
+/// op-chain class.  Rejects operands that do not conform to the plan, a C
+/// that overlaps any A, B or other C of the call, and a shared residual
+/// spec over several problems (one D matrix cannot address them all).
+/// Reusing one plan across calls amortizes schedule compilation entirely.
 template <typename In, typename Acc, typename Out>
-void execute_decomposition(const core::Decomposition& decomposition,
-                           const Matrix<In>& a, const Matrix<In>& b,
-                           Matrix<Out>& c, const ExecutorOptions& options = {});
+void execute_plan(
+    const core::SchedulePlan& plan,
+    std::span<const GemmProblem<In, Out>> problems,
+    const ExecutorOptions& options = {},
+    std::span<const epilogue::EpilogueSpec> problem_epilogues = {});
 
 extern template void execute_plan<double, double, double>(
-    const core::SchedulePlan&, const Matrix<double>&, const Matrix<double>&,
-    Matrix<double>&, const ExecutorOptions&);
+    const core::SchedulePlan&, std::span<const GemmProblem<double, double>>,
+    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
 extern template void execute_plan<float, float, float>(
-    const core::SchedulePlan&, const Matrix<float>&, const Matrix<float>&,
-    Matrix<float>&, const ExecutorOptions&);
+    const core::SchedulePlan&, std::span<const GemmProblem<float, float>>,
+    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
 extern template void execute_plan<util::Half, float, float>(
-    const core::SchedulePlan&, const Matrix<util::Half>&,
-    const Matrix<util::Half>&, Matrix<float>&, const ExecutorOptions&);
-
-extern template void execute_decomposition<double, double, double>(
-    const core::Decomposition&, const Matrix<double>&, const Matrix<double>&,
-    Matrix<double>&, const ExecutorOptions&);
-extern template void execute_decomposition<float, float, float>(
-    const core::Decomposition&, const Matrix<float>&, const Matrix<float>&,
-    Matrix<float>&, const ExecutorOptions&);
-extern template void execute_decomposition<util::Half, float, float>(
-    const core::Decomposition&, const Matrix<util::Half>&,
-    const Matrix<util::Half>&, Matrix<float>&, const ExecutorOptions&);
+    const core::SchedulePlan&,
+    std::span<const GemmProblem<util::Half, float>>, const ExecutorOptions&,
+    std::span<const epilogue::EpilogueSpec>);
 
 }  // namespace streamk::cpu

@@ -1,12 +1,10 @@
 #include "cpu/gemm.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "core/schedule_plan.hpp"
-#include "cpu/reference.hpp"
+#include "cpu/blas.hpp"
 #include "model/grid_selector.hpp"
-#include "obs/obs.hpp"
 #include "runtime/gemm_runtime.hpp"
 #include "tuner/dispatch.hpp"
 #include "util/threading.hpp"
@@ -62,49 +60,40 @@ core::DecompositionSpec resolve_schedule(const GemmOptions& options,
 
 namespace {
 
+/// The plain and BLAS-view front end: C = alpha * op(A) . op(B) + beta * C
+/// (gemm() is the kNone/kNone case with the options' alpha and beta).
 template <typename In, typename Acc, typename Out>
-GemmReport gemm_impl(const Matrix<In>& a, const Matrix<In>& b, Matrix<Out>& c,
-                     const GemmOptions& caller_options,
-                     gpu::Precision precision) {
-  const core::GemmShape shape = product_shape(a, b, c);
-  const GemmOptions options =
-      apply_tuned_dispatch(shape, precision, caller_options);
-  const gpu::BlockShape block =
-      options.block.valid() ? options.block : default_cpu_block(precision);
-  const core::WorkMapping mapping(shape, block, options.tile_order);
+GemmReport gemm_job(Trans trans_a, Trans trans_b, double alpha,
+                    const Matrix<In>& a, const Matrix<In>& b, double beta,
+                    Matrix<Out>& c, const GemmOptions& caller_options) {
+  const GemmProblem<In, Out> problem{OperandView<const In>(a, trans_a),
+                                     OperandView<const In>(b, trans_b), c};
+  util::check(problem.a.cols() == problem.b.rows(),
+              "GEMM inner extents do not conform");
+  const core::GemmShape shape{problem.a.rows(), problem.b.cols(),
+                              problem.a.cols()};
+  util::check(c.rows() == shape.m && c.cols() == shape.n,
+              "GEMM output extents do not conform");
+  GemmOptions options = caller_options;
+  options.alpha = alpha;
+  options.beta = beta;
+  return runtime::run_front_end(
+      options, precision_of<In>(), shape, /*group_digest=*/0,
+      /*allow_background_find=*/true, shape.k, shape.flops(),
+      [&](const gpu::BlockShape& block, const GemmOptions& o) {
+        return core::WorkMapping(shape, block, o.tile_order);
+      },
+      runtime::single_plan,
+      [&](const core::SchedulePlan& plan, const ExecutorOptions& exec) {
+        execute_plan<In, Acc, Out>(plan, {&problem, 1}, exec);
+      });
+}
 
-  const std::size_t workers =
-      options.workers > 0 ? options.workers : util::default_workers();
-  const core::DecompositionSpec spec =
-      resolve_schedule(options, mapping, precision, workers);
-  const core::PlanCache::PlanPtr plan = runtime::plan_cache().obtain(
-      core::make_plan_key(mapping, spec), mapping, spec);
-
-  ExecutorOptions exec;
-  exec.workers = workers;
-  exec.alpha = options.alpha;
-  exec.beta = options.beta;
-  exec.epilogue = options.epilogue;
-  exec.panel_cache = options.panel_cache;
-
-  const auto start = std::chrono::steady_clock::now();
-  {
-    STREAMK_OBS_SPAN(kGemm, plan->grid(), mapping.tiles());
-    execute_plan<In, Acc, Out>(*plan, a, b, c, exec);
-  }
-  STREAMK_OBS_COUNT("gemm.calls");
-  const auto stop = std::chrono::steady_clock::now();
-
-  GemmReport report;
-  report.spec = spec;
-  report.schedule_name = plan->name();
-  report.grid = plan->grid();
-  report.tiles = mapping.tiles();
-  report.spills = plan->total_spills();
-  report.seconds = std::chrono::duration<double>(stop - start).count();
-  report.gflops =
-      report.seconds > 0.0 ? shape.flops() / report.seconds / 1e9 : 0.0;
-  return report;
+template <typename In, typename Acc, typename Out>
+GemmReport plain_gemm_job(const Matrix<In>& a, const Matrix<In>& b,
+                          Matrix<Out>& c, const GemmOptions& options) {
+  return gemm_job<In, Acc, Out>(Trans::kNone, Trans::kNone, options.alpha, a,
+                                b, options.beta, c, options);
 }
 
 }  // namespace
@@ -190,6 +179,30 @@ GemmReport gemm(const Matrix<util::Half>& a, const Matrix<util::Half>& b,
   return runtime::submit_gemm(a, b, c, options).get();
 }
 
+GemmReport dgemm(Trans trans_a, Trans trans_b, double alpha,
+                 const Matrix<double>& a, const Matrix<double>& b,
+                 double beta, Matrix<double>& c, const GemmOptions& options) {
+  return runtime::submit_dgemm(trans_a, trans_b, alpha, a, b, beta, c,
+                               options)
+      .get();
+}
+
+GemmReport sgemm(Trans trans_a, Trans trans_b, double alpha,
+                 const Matrix<float>& a, const Matrix<float>& b, double beta,
+                 Matrix<float>& c, const GemmOptions& options) {
+  return runtime::submit_sgemm(trans_a, trans_b, alpha, a, b, beta, c,
+                               options)
+      .get();
+}
+
+GemmReport hgemm(Trans trans_a, Trans trans_b, double alpha,
+                 const Matrix<util::Half>& a, const Matrix<util::Half>& b,
+                 double beta, Matrix<float>& c, const GemmOptions& options) {
+  return runtime::submit_hgemm(trans_a, trans_b, alpha, a, b, beta, c,
+                               options)
+      .get();
+}
+
 }  // namespace streamk::cpu
 
 namespace streamk::runtime {
@@ -202,31 +215,69 @@ core::PlanCache& plan_cache() {
   return *cache;
 }
 
+core::PlanCache::PlanPtr single_plan(const core::WorkMapping& mapping,
+                                     const core::DecompositionSpec& spec) {
+  return plan_cache().obtain(core::make_plan_key(mapping, spec), mapping,
+                             spec);
+}
+
+core::PlanCache::PlanPtr grouped_plan(std::span<const core::GemmShape> shapes,
+                                      const gpu::BlockShape& block,
+                                      const core::DecompositionSpec& spec) {
+  const core::GroupedMapping grouped(shapes, block);
+  return plan_cache().obtain(core::make_grouped_plan_key(grouped, spec),
+                             grouped, spec);
+}
+
 GemmHandle submit_gemm(const cpu::Matrix<double>& a,
                        const cpu::Matrix<double>& b, cpu::Matrix<double>& c,
                        const cpu::GemmOptions& options) {
-  return global_pool().async([&a, &b, &c, options] {
-    return cpu::gemm_impl<double, double, double>(a, b, c, options,
-                                                  gpu::Precision::kFp64);
-  });
+  return submit_job(cpu::plain_gemm_job<double, double, double>, std::cref(a),
+                    std::cref(b), std::ref(c), options);
 }
 
 GemmHandle submit_gemm(const cpu::Matrix<float>& a,
                        const cpu::Matrix<float>& b, cpu::Matrix<float>& c,
                        const cpu::GemmOptions& options) {
-  return global_pool().async([&a, &b, &c, options] {
-    return cpu::gemm_impl<float, float, float>(a, b, c, options,
-                                               gpu::Precision::kFp32);
-  });
+  return submit_job(cpu::plain_gemm_job<float, float, float>, std::cref(a),
+                    std::cref(b), std::ref(c), options);
 }
 
 GemmHandle submit_gemm(const cpu::Matrix<util::Half>& a,
                        const cpu::Matrix<util::Half>& b, cpu::Matrix<float>& c,
                        const cpu::GemmOptions& options) {
-  return global_pool().async([&a, &b, &c, options] {
-    return cpu::gemm_impl<util::Half, float, float>(a, b, c, options,
-                                                    gpu::Precision::kFp16F32);
-  });
+  return submit_job(cpu::plain_gemm_job<util::Half, float, float>,
+                    std::cref(a), std::cref(b), std::ref(c), options);
+}
+
+GemmHandle submit_dgemm(cpu::Trans trans_a, cpu::Trans trans_b, double alpha,
+                        const cpu::Matrix<double>& a,
+                        const cpu::Matrix<double>& b, double beta,
+                        cpu::Matrix<double>& c,
+                        const cpu::GemmOptions& options) {
+  return submit_job(cpu::gemm_job<double, double, double>, trans_a, trans_b,
+                    alpha, std::cref(a), std::cref(b), beta, std::ref(c),
+                    options);
+}
+
+GemmHandle submit_sgemm(cpu::Trans trans_a, cpu::Trans trans_b, double alpha,
+                        const cpu::Matrix<float>& a,
+                        const cpu::Matrix<float>& b, double beta,
+                        cpu::Matrix<float>& c,
+                        const cpu::GemmOptions& options) {
+  return submit_job(cpu::gemm_job<float, float, float>, trans_a, trans_b,
+                    alpha, std::cref(a), std::cref(b), beta, std::ref(c),
+                    options);
+}
+
+GemmHandle submit_hgemm(cpu::Trans trans_a, cpu::Trans trans_b, double alpha,
+                        const cpu::Matrix<util::Half>& a,
+                        const cpu::Matrix<util::Half>& b, double beta,
+                        cpu::Matrix<float>& c,
+                        const cpu::GemmOptions& options) {
+  return submit_job(cpu::gemm_job<util::Half, float, float>, trans_a,
+                    trans_b, alpha, std::cref(a), std::cref(b), beta,
+                    std::ref(c), options);
 }
 
 }  // namespace streamk::runtime

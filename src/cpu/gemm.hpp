@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "core/decomposition.hpp"
 #include "cpu/executor.hpp"
@@ -69,8 +70,8 @@ struct GemmReport {
 };
 
 /// Resolves a GemmOptions schedule request into a concrete decomposition
-/// spec for `workers` CPU workers (kAuto runs the Section 5.1 planner).
-/// Exposed for the batched / convolution front ends.
+/// spec for `workers` CPU workers (kAuto runs the Section 5.1 planner over
+/// `mapping`; each front end chooses the mapping the planner sees).
 core::DecompositionSpec resolve_schedule(const GemmOptions& options,
                                          const core::WorkMapping& mapping,
                                          gpu::Precision precision,
@@ -117,6 +118,14 @@ GemmReport gemm(const Matrix<float>& a, const Matrix<float>& b,
                 Matrix<float>& c, const GemmOptions& options = {});
 GemmReport gemm(const Matrix<util::Half>& a, const Matrix<util::Half>& b,
                 Matrix<float>& c, const GemmOptions& options = {});
+
+/// The precision a front end runs for input element type `In`.
+template <typename In>
+constexpr gpu::Precision precision_of() {
+  if constexpr (std::is_same_v<In, double>) return gpu::Precision::kFp64;
+  if constexpr (std::is_same_v<In, float>) return gpu::Precision::kFp32;
+  return gpu::Precision::kFp16F32;
+}
 
 /// Default CPU blocking factors for a precision (sized so one tile's
 /// working set stays cache resident).

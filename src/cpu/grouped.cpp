@@ -1,273 +1,91 @@
 #include "cpu/grouped.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <type_traits>
 #include <vector>
 
-#include "core/grouped.hpp"
-#include "core/schedule_plan.hpp"
-#include "cpu/decomposed_runner.hpp"
-#include "cpu/mac_loop.hpp"
 #include "cpu/reference.hpp"
-#include "epilogue/apply.hpp"
 #include "runtime/gemm_runtime.hpp"
 #include "tuner/tuning_db.hpp"
-#include "util/threading.hpp"
 
 namespace streamk::cpu {
 
 namespace {
 
-/// Packs one problem's operands and accumulates the segment's MAC-loop
-/// iterations.  Extents come from the owning problem's real shape; a k == 0
-/// problem yields an empty k-range (the chunk walk is a no-op) while the
-/// segment still drives the beta/epilogue store.  Panel-cache keys are
-/// problem-qualified via the mapping's panel offsets, since two problems'
-/// tiles at equal local coordinates read different operand matrices.
-template <typename In, typename Acc>
-void grouped_mac_segment(const core::GroupedMapping& grouped,
-                         std::span<const Matrix<In>> as,
-                         std::span<const Matrix<In>> bs,
-                         const core::TileSegment& seg, std::span<Acc> accum,
-                         MacScratch<Acc>& scratch, PanelCache<Acc>* cache) {
-  const gpu::BlockShape& blk = grouped.block();
-  const core::GroupedTileRef ref = grouped.tile_ref(seg.tile_idx);
-  const core::GroupedProblem& prob = grouped.problem(ref.problem);
-  const core::GemmShape& shape = prob.shape;
-  const Matrix<In>& a = as[ref.problem];
-  const Matrix<In>& b = bs[ref.problem];
-
-  const std::int64_t mm = ref.tm * blk.m;
-  const std::int64_t nn = ref.tn * blk.n;
-  const std::int64_t em = std::min(blk.m, shape.m - mm);
-  const std::int64_t en = std::min(blk.n, shape.n - nn);
-
-  const std::int64_t k_begin = seg.iter_begin * blk.k;
-  const std::int64_t k_end = std::min(seg.iter_end * blk.k, shape.k);
-  run_cached_chunks<Acc>(
-      cache, prob.row_panel_offset + ref.tm, prob.col_panel_offset + ref.tn,
-      em, en, k_begin, k_end, shape.k, scratch.panel_kc(),
-      [&](std::int64_t k0, std::int64_t kc, Acc* dst) {
-        pack_a_matrix(a, mm, em, k0, kc, dst);
-      },
-      [&](std::int64_t k0, std::int64_t kc, Acc* dst) {
-        pack_b_matrix(b, k0, kc, nn, en, dst);
-      },
-      scratch.packs, accum.data(), blk.n);
-}
-
-}  // namespace
-
 template <typename In, typename Acc, typename Out>
-void execute_grouped_plan(
-    const core::SchedulePlan& plan, std::span<const Matrix<In>> as,
-    std::span<const Matrix<In>> bs, std::span<Matrix<Out>> cs,
-    const ExecutorOptions& options,
-    std::span<const epilogue::EpilogueSpec> problem_epilogues) {
-  const core::GroupedMapping* grouped = plan.group();
-  util::check(grouped != nullptr,
-              "execute_grouped_plan needs a plan compiled from a "
-              "GroupedMapping");
-  const std::size_t problems = grouped->problems();
-  util::check(as.size() == problems && bs.size() == problems &&
-                  cs.size() == problems,
-              "grouped operand count mismatch");
-  util::check(problem_epilogues.empty() ||
-                  problem_epilogues.size() == problems,
-              "problem_epilogues must be empty or one spec per problem");
-  for (std::size_t p = 0; p < problems; ++p) {
-    const core::GemmShape s = product_shape(as[p], bs[p], cs[p]);
-    util::check(s == grouped->problem(p).shape,
-                "grouped problem shape mismatch");
-  }
-
-  const gpu::BlockShape& blk = grouped->block();
-
-  // One op-chain *structure* serves the whole group (bindings vary per
-  // problem): compile it once from the first spec and insist every other
-  // spec shares its class -- a per-problem chain change would change the
-  // store cost mid-schedule and the plan's epilogue memo keys by class.
-  const epilogue::EpilogueSpec& structure =
-      problem_epilogues.empty() ? options.epilogue : problem_epilogues[0];
-  const epilogue::EpiloguePlanPtr eplan = plan.epilogue_plan(structure);
-  for (const epilogue::EpilogueSpec& spec : problem_epilogues) {
-    util::check(epilogue::class_key(spec.ops) == eplan->class_key(),
-                "grouped problem epilogues must share one op-chain class");
-  }
-  util::check(!eplan->needs_residual() ||
-                  !problem_epilogues.empty() || problems == 1,
-              "grouped GEMM with a shared epilogue spec does not support "
-              "the residual op (one D matrix cannot address every "
-              "problem); pass per-problem specs");
-  // Bindings are problem-local: validate each spec against its problem's
-  // own output extents.
-  for (std::size_t p = 0; p < problems; ++p) {
-    const epilogue::EpilogueSpec& spec =
-        problem_epilogues.empty() ? options.epilogue : problem_epilogues[p];
-    epilogue::check_bindings(*eplan, spec, grouped->problem(p).shape.m,
-                             grouped->problem(p).shape.n,
-                             epilogue::tensor_type_of<Out>());
-  }
-
-  // The plan's panel geometry already spans the concatenated panel-key
-  // space; restate it as an explicit override so the cache grid stays
-  // correct even for callers that rebuilt the plan with other geometry.
-  const core::PanelCacheGeometry& geo = plan.panel_geometry();
-  PanelCacheConfig cache_config;
-  cache_config.row_panels = grouped->row_panels();
-  cache_config.col_panels = grouped->col_panels();
-  cache_config.chunks = geo.chunks;
-  cache_config.chunk_depth = geo.panel_kc;
-
-  run_decomposed<Acc>(
-      plan, blk.tile_elements(),
-      [&](const core::TileSegment& seg, std::span<Acc> accum,
-          MacScratch<Acc>& scratch, PanelCache<Acc>* cache) {
-        grouped_mac_segment<In, Acc>(*grouped, as, bs, seg, accum, scratch,
-                                     cache);
-      },
-      [&](std::int64_t tile_idx, std::span<const Acc> accum) {
-        const core::GroupedTileRef ref = grouped->tile_ref(tile_idx);
-        const core::GemmShape& shape = grouped->problem(ref.problem).shape;
-        const epilogue::EpilogueSpec& spec =
-            problem_epilogues.empty() ? options.epilogue
-                                      : problem_epilogues[ref.problem];
-        Matrix<Out>& c = cs[ref.problem];
-        const std::int64_t mm = ref.tm * blk.m;
-        const std::int64_t nn = ref.tn * blk.n;
-        const std::int64_t em = std::min(blk.m, shape.m - mm);
-        const std::int64_t en = std::min(blk.n, shape.n - nn);
-        epilogue::apply_tile<Acc, Out>(*eplan, spec, options.alpha,
-                                       options.beta, mm, nn, em, en, shape.n,
-                                       accum.data(), blk.n,
-                                       c.row_ptr(mm) + nn, c.cols());
-      },
-      options, &cache_config);
-}
-
-namespace {
-
-template <typename In, typename Acc, typename Out>
-GemmReport grouped_gemm_blocking(
+GemmReport grouped_gemm_job(
     std::span<const Matrix<In>> as, std::span<const Matrix<In>> bs,
-    std::span<Matrix<Out>> cs, const GemmOptions& caller_options,
+    std::span<Matrix<Out>> cs, const GemmOptions& options,
     std::span<const epilogue::EpilogueSpec> problem_epilogues) {
   util::check(!as.empty(), "grouped GEMM needs at least one problem");
   util::check(as.size() == bs.size() && as.size() == cs.size(),
               "grouped operand count mismatch");
   std::vector<core::GemmShape> shapes;
+  std::vector<GemmProblem<In, Out>> problems;
   shapes.reserve(as.size());
+  problems.reserve(as.size());
+  double flops = 0.0;
+  std::int64_t min_k = -1;
   for (std::size_t p = 0; p < as.size(); ++p) {
-    shapes.push_back(product_shape(as[p], bs[p], cs[p]));
-  }
-
-  gpu::Precision precision = gpu::Precision::kFp64;
-  if constexpr (std::is_same_v<In, float>) precision = gpu::Precision::kFp32;
-  if constexpr (std::is_same_v<In, util::Half>) {
-    precision = gpu::Precision::kFp16F32;
+    const core::GemmShape shape = product_shape(as[p], bs[p], cs[p]);
+    shapes.push_back(shape);
+    problems.push_back({as[p], bs[p], cs[p]});
+    flops += shape.flops();
+    min_k = min_k < 0 ? shape.k : std::min(min_k, shape.k);
   }
 
   // Tuning-db key: the grouped shape-multiset digest, filed under the
   // aggregate shape (tuner/tuning_db.hpp).  Lookup only -- a background
   // find job would measure a plain GEMM of the aggregate shape, not this
-  // grouped schedule.  A record may still be infeasible against the
-  // group's *smallest* k (fixed-split factors larger than a problem's
-  // iteration count): run the caller's request instead of failing.
-  const GemmOptions dispatched = apply_tuned_dispatch(
-      tuner::group_key_shape(shapes), precision, caller_options,
-      /*allow_background_find=*/false, tuner::group_digest(shapes));
-  std::int64_t min_k = shapes[0].k;
-  for (const core::GemmShape& s : shapes) min_k = std::min(min_k, s.k);
-  const GemmOptions options =
-      tuned_dispatch_feasible(dispatched, precision, min_k) ? dispatched
-                                                            : caller_options;
-
-  const gpu::BlockShape block =
-      options.block.valid() ? options.block : default_cpu_block(precision);
-  const core::GroupedMapping grouped(shapes, block);
-  const std::size_t workers =
-      options.workers > 0 ? options.workers : util::default_workers();
-
-  // kAuto policy: the analytical planner reasons over one uniform
-  // WorkMapping, so hand it the iteration-dominant problem's real mapping.
-  // A skewed group's cost is concentrated in that problem, and the
-  // schedule the planner picks for its tile grid is the one the whole
-  // queue should run -- the remaining problems ride along either way.  A
-  // synthetic average-shape proxy mispredicts both extremes of a skewed
-  // group (measured: it steered a 1-large + 31-small fp64 group into a
-  // hybrid schedule 10% slower than the dominant problem's own choice).
-  // Forced schedules bypass the planner entirely.
-  std::size_t dominant = 0;
-  std::int64_t dominant_iters = -1;
-  for (std::size_t p = 0; p < grouped.problems(); ++p) {
-    const core::GroupedProblem& prob = grouped.problem(p);
-    const std::int64_t iters = prob.tiles * prob.iters_per_tile;
-    if (iters > dominant_iters) {
-      dominant = p;
-      dominant_iters = iters;
-    }
-  }
-  const core::WorkMapping dominant_mapping(grouped.problem(dominant).shape,
-                                           block);
-  const core::DecompositionSpec spec =
-      resolve_schedule(options, dominant_mapping, precision, workers);
-  const core::PlanCache::PlanPtr plan = runtime::plan_cache().obtain(
-      core::make_grouped_plan_key(grouped, spec), grouped, spec);
-
-  ExecutorOptions exec;
-  exec.workers = workers;
-  exec.alpha = options.alpha;
-  exec.beta = options.beta;
-  exec.epilogue = options.epilogue;
-  exec.panel_cache = options.panel_cache;
-
-  const auto start = std::chrono::steady_clock::now();
-  execute_grouped_plan<In, Acc, Out>(*plan, as, bs, cs, exec,
-                                     problem_epilogues);
-  const auto stop = std::chrono::steady_clock::now();
-
-  GemmReport report;
-  report.spec = spec;
-  report.schedule_name = plan->name();
-  report.grid = plan->grid();
-  report.tiles = grouped.tiles();
-  report.spills = plan->total_spills();
-  report.seconds = std::chrono::duration<double>(stop - start).count();
-  report.gflops =
-      report.seconds > 0.0 ? grouped.flops() / report.seconds / 1e9 : 0.0;
-  return report;
+  // grouped schedule.  A record must be feasible against the group's
+  // *smallest* k (fixed-split factors larger than a problem's iteration
+  // count).
+  return runtime::run_front_end(
+      options, precision_of<In>(), tuner::group_key_shape(shapes),
+      tuner::group_digest(shapes), /*allow_background_find=*/false, min_k,
+      flops,
+      [&](const gpu::BlockShape& block, const GemmOptions&) {
+        // kAuto policy: the analytical planner reasons over one uniform
+        // WorkMapping, so hand it the iteration-dominant problem's real
+        // mapping.  A skewed group's cost is concentrated in that problem,
+        // and the schedule the planner picks for its tile grid is the one
+        // the whole queue should run -- the remaining problems ride along
+        // either way.  A synthetic average-shape proxy mispredicts both
+        // extremes of a skewed group (measured: it steered a 1-large +
+        // 31-small fp64 group into a hybrid schedule 10% slower than the
+        // dominant problem's own choice).
+        std::size_t dominant = 0;
+        std::int64_t dominant_iters = -1;
+        for (std::size_t p = 0; p < shapes.size(); ++p) {
+          const core::GemmShape& s = shapes[p];
+          const std::int64_t iters =
+              core::ceil_div(s.m, block.m) * core::ceil_div(s.n, block.n) *
+              std::max<std::int64_t>(1, core::ceil_div(s.k, block.k));
+          if (iters > dominant_iters) {
+            dominant = p;
+            dominant_iters = iters;
+          }
+        }
+        return core::WorkMapping(shapes[dominant], block);
+      },
+      [&](const core::WorkMapping& planner,
+          const core::DecompositionSpec& spec) {
+        return runtime::grouped_plan(shapes, planner.block(), spec);
+      },
+      [&](const core::SchedulePlan& plan, const ExecutorOptions& exec) {
+        execute_plan<In, Acc, Out>(plan, problems, exec, problem_epilogues);
+      });
 }
 
 }  // namespace
 
-// Sync front end: one pool job per group (submit-then-get; see
-// runtime/gemm_runtime.hpp for the work-stealing guarantee).
 template <typename In, typename Acc, typename Out>
 GemmReport grouped_gemm(
     std::span<const Matrix<In>> as, std::span<const Matrix<In>> bs,
     std::span<Matrix<Out>> cs, const GemmOptions& options,
     std::span<const epilogue::EpilogueSpec> problem_epilogues) {
-  return runtime::global_pool()
-      .async([as, bs, cs, options, problem_epilogues]() mutable {
-        return grouped_gemm_blocking<In, Acc, Out>(as, bs, cs, options,
-                                                   problem_epilogues);
-      })
+  return runtime::submit_grouped_gemm(as, bs, cs, options, problem_epilogues)
       .get();
 }
-
-template void execute_grouped_plan<double, double, double>(
-    const core::SchedulePlan&, std::span<const Matrix<double>>,
-    std::span<const Matrix<double>>, std::span<Matrix<double>>,
-    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
-template void execute_grouped_plan<float, float, float>(
-    const core::SchedulePlan&, std::span<const Matrix<float>>,
-    std::span<const Matrix<float>>, std::span<Matrix<float>>,
-    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
-template void execute_grouped_plan<util::Half, float, float>(
-    const core::SchedulePlan&, std::span<const Matrix<util::Half>>,
-    std::span<const Matrix<util::Half>>, std::span<Matrix<float>>,
-    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
 
 template GemmReport grouped_gemm<double, double, double>(
     std::span<const Matrix<double>>, std::span<const Matrix<double>>,
@@ -291,11 +109,8 @@ GemmHandle submit_grouped_gemm(
     std::span<const cpu::Matrix<double>> bs, std::span<cpu::Matrix<double>> cs,
     const cpu::GemmOptions& options,
     std::span<const epilogue::EpilogueSpec> problem_epilogues) {
-  return global_pool().async([as, bs, cs, options,
-                              problem_epilogues]() mutable {
-    return cpu::grouped_gemm_blocking<double, double, double>(
-        as, bs, cs, options, problem_epilogues);
-  });
+  return submit_job(cpu::grouped_gemm_job<double, double, double>, as, bs, cs,
+                    options, problem_epilogues);
 }
 
 GemmHandle submit_grouped_gemm(
@@ -303,11 +118,8 @@ GemmHandle submit_grouped_gemm(
     std::span<const cpu::Matrix<float>> bs, std::span<cpu::Matrix<float>> cs,
     const cpu::GemmOptions& options,
     std::span<const epilogue::EpilogueSpec> problem_epilogues) {
-  return global_pool().async([as, bs, cs, options,
-                              problem_epilogues]() mutable {
-    return cpu::grouped_gemm_blocking<float, float, float>(
-        as, bs, cs, options, problem_epilogues);
-  });
+  return submit_job(cpu::grouped_gemm_job<float, float, float>, as, bs, cs,
+                    options, problem_epilogues);
 }
 
 GemmHandle submit_grouped_gemm(
@@ -315,11 +127,8 @@ GemmHandle submit_grouped_gemm(
     std::span<const cpu::Matrix<util::Half>> bs,
     std::span<cpu::Matrix<float>> cs, const cpu::GemmOptions& options,
     std::span<const epilogue::EpilogueSpec> problem_epilogues) {
-  return global_pool().async([as, bs, cs, options,
-                              problem_epilogues]() mutable {
-    return cpu::grouped_gemm_blocking<util::Half, float, float>(
-        as, bs, cs, options, problem_epilogues);
-  });
+  return submit_job(cpu::grouped_gemm_job<util::Half, float, float>, as, bs,
+                    cs, options, problem_epilogues);
 }
 
 }  // namespace streamk::runtime

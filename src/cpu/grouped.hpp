@@ -2,14 +2,15 @@
 
 // Grouped (ragged-batch) GEMM front end.
 //
-// cpu/batched.hpp handles uniform batches; this front end drops the last
-// shape assumption: every problem brings its own (m, n, k), and one
-// Stream-K schedule balances the *concatenated* iteration space of the
-// whole group (core/grouped.hpp).  A skewed group -- one large problem
-// plus many small ones -- is exactly the quantization scenario the paper
-// targets: scheduled per problem, the large GEMM's tail wave idles most
-// of the machine; scheduled as one domain, its iterations spread across
-// every CTA and the small problems fill the gaps.
+// Every problem brings its own (m, n, k), and one Stream-K schedule balances
+// the *concatenated* iteration space of the whole group (core/grouped.hpp);
+// cpu/batched.hpp is the uniform special case.  The problems run through
+// the one GEMM-family executor (cpu::execute_plan) as a span of operand
+// views.  A skewed group -- one large problem plus many small ones -- is
+// exactly the quantization scenario the paper targets: scheduled per
+// problem, the large GEMM's tail wave idles most of the machine; scheduled
+// as one domain, its iterations spread across every CTA and the small
+// problems fill the gaps.
 //
 // Epilogues: one spec may serve the whole group, or `problem_epilogues`
 // supplies one spec per problem.  All specs must share one op-chain
@@ -26,24 +27,7 @@
 #include "cpu/matrix.hpp"
 #include "epilogue/epilogue.hpp"
 
-namespace streamk::core {
-class SchedulePlan;
-}  // namespace streamk::core
-
 namespace streamk::cpu {
-
-/// Executes a compiled grouped plan (built from a core::GroupedMapping via
-/// runtime::plan_cache() or core::SchedulePlan's grouped constructor):
-/// cs[p] = alpha * as[p].bs[p] + beta * cs[p] for every problem p, with
-/// the fused epilogue applied once per output element exactly as in the
-/// single-problem executor.  `problem_epilogues` is empty (use
-/// options.epilogue for every problem) or one spec per problem.
-template <typename In, typename Acc, typename Out>
-void execute_grouped_plan(
-    const core::SchedulePlan& plan, std::span<const Matrix<In>> as,
-    std::span<const Matrix<In>> bs, std::span<Matrix<Out>> cs,
-    const ExecutorOptions& options = {},
-    std::span<const epilogue::EpilogueSpec> problem_epilogues = {});
 
 /// BLAS-like convenience: one schedule over the whole group, chosen by
 /// GemmOptions (kAuto plans over the concatenated tile space; the tuning
@@ -53,19 +37,6 @@ GemmReport grouped_gemm(
     std::span<const Matrix<In>> as, std::span<const Matrix<In>> bs,
     std::span<Matrix<Out>> cs, const GemmOptions& options = {},
     std::span<const epilogue::EpilogueSpec> problem_epilogues = {});
-
-extern template void execute_grouped_plan<double, double, double>(
-    const core::SchedulePlan&, std::span<const Matrix<double>>,
-    std::span<const Matrix<double>>, std::span<Matrix<double>>,
-    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
-extern template void execute_grouped_plan<float, float, float>(
-    const core::SchedulePlan&, std::span<const Matrix<float>>,
-    std::span<const Matrix<float>>, std::span<Matrix<float>>,
-    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
-extern template void execute_grouped_plan<util::Half, float, float>(
-    const core::SchedulePlan&, std::span<const Matrix<util::Half>>,
-    std::span<const Matrix<util::Half>>, std::span<Matrix<float>>,
-    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
 
 extern template GemmReport grouped_gemm<double, double, double>(
     std::span<const Matrix<double>>, std::span<const Matrix<double>>,

@@ -13,7 +13,7 @@
 
 #include <span>
 
-#include "core/decomposition.hpp"
+#include "core/schedule_plan.hpp"
 #include "cpu/matrix.hpp"
 #include "cpu/packing.hpp"
 #include "cpu/panel_cache.hpp"
@@ -25,10 +25,10 @@ namespace streamk::cpu {
 /// allocation, and resizable so runtime::local_cta_buffers can recycle them
 /// across submissions (resize to an already-held shape allocates nothing).
 ///
-/// `frag_a`/`frag_b` are row-major gather staging for substrates whose
-/// operands need per-element address math (implicit-GEMM convolution);
-/// they are sized lazily via ensure_frags() so the GEMM-family paths --
-/// which pack straight from the source matrices -- never carry them.
+/// `frag_a`/`frag_b` are row-major gather staging for implicit-GEMM
+/// convolution, whose operands need per-element address math; they are
+/// sized lazily via ensure_frags() so the GEMM-family path -- which packs
+/// straight from the operand views -- never carries them.
 template <typename Acc>
 struct MacScratch {
   std::vector<Acc> frag_a;  ///< BLK_M x BLK_K gather staging (conv)
@@ -62,31 +62,38 @@ struct MacScratch {
   std::int64_t panel_kc_ = 0;
 };
 
-/// Accumulates segment `seg`'s MAC-loop iterations of the decomposed GEMM
-/// into `accum` (BLK_M x BLK_N, row-major).  The caller zero-initializes
-/// `accum` before the first segment of a tile; only the valid em x en
-/// corner is written, so the padding region of an edge tile stays zero.
-/// With a non-null `cache`, chunk panels aligned to the shared arena's
-/// grid are packed once per GEMM instead of once per tile (see
-/// cpu/panel_cache.hpp); a null cache packs privately as before.
+/// Accumulates segment `seg` of tile `tile` (resolved by
+/// plan.tile_ref(seg.tile_idx)) of the GEMM op(A) . op(B) given by the views
+/// `a` (m x k) and `b` (k x n) into `accum` (BLK_M x BLK_N, row-major).  The
+/// caller zero-initializes `accum` before the first segment of a tile; only
+/// the valid em x en corner is written, so the padding region of an edge
+/// tile stays zero.  Every GEMM-family front end (plain, BLAS views,
+/// batched, grouped) runs through this one routine; operands are packed by
+/// pack_a / pack_b, which pick the packer from the views' strides.  With a
+/// non-null `cache`, chunk panels aligned to the shared arena's grid are
+/// packed once per GEMM instead of once per tile (see cpu/panel_cache.hpp),
+/// keyed by plan.panel_keys(tile); a null cache packs privately.
 template <typename In, typename Acc>
-void run_mac_segment(const Matrix<In>& a, const Matrix<In>& b,
-                     const core::WorkMapping& mapping,
-                     const core::TileSegment& seg, std::span<Acc> accum,
-                     MacScratch<Acc>& scratch,
-                     PanelCache<Acc>* cache = nullptr);
+void mac_segment(const core::SchedulePlan& plan, const core::TileRef& tile,
+                 const OperandView<const In>& a,
+                 const OperandView<const In>& b, const core::TileSegment& seg,
+                 std::span<Acc> accum, MacScratch<Acc>& scratch,
+                 PanelCache<Acc>* cache = nullptr);
 
-extern template void run_mac_segment<double, double>(
-    const Matrix<double>&, const Matrix<double>&, const core::WorkMapping&,
+extern template void mac_segment<double, double>(
+    const core::SchedulePlan&, const core::TileRef&,
+    const OperandView<const double>&, const OperandView<const double>&,
     const core::TileSegment&, std::span<double>, MacScratch<double>&,
     PanelCache<double>*);
-extern template void run_mac_segment<float, float>(
-    const Matrix<float>&, const Matrix<float>&, const core::WorkMapping&,
+extern template void mac_segment<float, float>(
+    const core::SchedulePlan&, const core::TileRef&,
+    const OperandView<const float>&, const OperandView<const float>&,
     const core::TileSegment&, std::span<float>, MacScratch<float>&,
     PanelCache<float>*);
-extern template void run_mac_segment<util::Half, float>(
-    const Matrix<util::Half>&, const Matrix<util::Half>&,
-    const core::WorkMapping&, const core::TileSegment&, std::span<float>,
-    MacScratch<float>&, PanelCache<float>*);
+extern template void mac_segment<util::Half, float>(
+    const core::SchedulePlan&, const core::TileRef&,
+    const OperandView<const util::Half>&, const OperandView<const util::Half>&,
+    const core::TileSegment&, std::span<float>, MacScratch<float>&,
+    PanelCache<float>*);
 
 }  // namespace streamk::cpu

@@ -1,6 +1,7 @@
 #pragma once
 
-// Dense row-major matrix container for the CPU execution path.
+// Dense row-major matrix container for the CPU execution path, and the
+// strided operand view every GEMM-family front end executes through.
 //
 // Deliberately minimal: owning storage, bounds-checked accessors in terms of
 // (row, col), and deterministic fill helpers.  GEMM kernels access raw spans
@@ -8,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.hpp"
@@ -57,6 +59,66 @@ class Matrix {
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
   std::vector<T> data_;
+};
+
+enum class Trans {
+  kNone,       ///< use the operand as stored
+  kTranspose,  ///< use the operand's transpose
+};
+
+/// Non-owning strided view of a rows x cols operand: element (r, c) lives at
+/// data()[r * row_stride() + c * col_stride()].  A plain Matrix and its
+/// transpose are both views (row-major storage has col_stride 1, its
+/// transpose row_stride 1), so one execution path serves every layout.
+/// OperandView<const T> is read-only; a mutable view converts to it.
+template <typename T>
+class OperandView {
+ public:
+  using Element = std::remove_const_t<T>;
+
+  OperandView() = default;
+  OperandView(T* data, std::int64_t rows, std::int64_t cols,
+              std::int64_t row_stride, std::int64_t col_stride)
+      : data_(data), rows_(rows), cols_(cols), row_stride_(row_stride),
+        col_stride_(col_stride) {}
+
+  /// The whole matrix as stored, or its transpose.
+  OperandView(Matrix<Element>& m, Trans trans = Trans::kNone)
+      : OperandView(m.data().data(), m, trans) {}
+  OperandView(const Matrix<Element>& m, Trans trans = Trans::kNone)
+    requires std::is_const_v<T>
+      : OperandView(m.data().data(), m, trans) {}
+
+  template <typename U>
+    requires std::is_same_v<const U, T>
+  OperandView(const OperandView<U>& other)
+      : OperandView(other.data(), other.rows(), other.cols(),
+                    other.row_stride(), other.col_stride()) {}
+
+  T* data() const { return data_; }
+  std::int64_t rows() const { return rows_; }
+  std::int64_t cols() const { return cols_; }
+  std::int64_t row_stride() const { return row_stride_; }
+  std::int64_t col_stride() const { return col_stride_; }
+
+  /// Unchecked element address / access.
+  T* ptr(std::int64_t r, std::int64_t c) const {
+    return data_ + r * row_stride_ + c * col_stride_;
+  }
+  T& at(std::int64_t r, std::int64_t c) const { return *ptr(r, c); }
+
+ private:
+  OperandView(T* data, const Matrix<Element>& m, Trans trans)
+      : OperandView(data, trans == Trans::kNone ? m.rows() : m.cols(),
+                    trans == Trans::kNone ? m.cols() : m.rows(),
+                    trans == Trans::kNone ? m.cols() : 1,
+                    trans == Trans::kNone ? 1 : m.cols()) {}
+
+  T* data_ = nullptr;
+  std::int64_t rows_ = 0;
+  std::int64_t cols_ = 0;
+  std::int64_t row_stride_ = 0;
+  std::int64_t col_stride_ = 1;
 };
 
 namespace detail {

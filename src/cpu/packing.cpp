@@ -1,5 +1,7 @@
 #include "cpu/packing.hpp"
 
+#include <type_traits>
+
 #if defined(__F16C__)
 #include <immintrin.h>
 #endif
@@ -32,11 +34,11 @@ inline void convert_row(const util::Half* src, std::int64_t count,
 }
 #endif
 
-}  // namespace
-
+/// Contiguous-row A pack: `src` points at element (0, 0) of the em x kc
+/// sub-block, rows are `ld` elements apart, elements within a row adjacent.
 template <typename In, typename Acc>
-void pack_a_matrix(const Matrix<In>& a, std::int64_t row0, std::int64_t em,
-                   std::int64_t col0, std::int64_t kc, Acc* dst) {
+void pack_a_rows(const In* src, std::int64_t ld, std::int64_t em,
+                 std::int64_t kc, Acc* dst) {
   constexpr std::int64_t kMr = MicroTile<Acc>::kMr;
   const std::int64_t panels = (em + kMr - 1) / kMr;
   // Each source row is contiguous along k: convert a stretch of the row at
@@ -48,10 +50,10 @@ void pack_a_matrix(const Matrix<In>& a, std::int64_t row0, std::int64_t em,
     const std::int64_t mr = std::min(kMr, em - p * kMr);
     Acc row[128];
     for (std::int64_t i = 0; i < mr; ++i) {
-      const In* src = a.row_ptr(row0 + p * kMr + i) + col0;
+      const In* src_row = src + (p * kMr + i) * ld;
       for (std::int64_t k0 = 0; k0 < kc; k0 += 128) {
         const std::int64_t chunk = std::min<std::int64_t>(128, kc - k0);
-        convert_row(src + k0, chunk, row);
+        convert_row(src_row + k0, chunk, row);
         for (std::int64_t k = 0; k < chunk; ++k) {
           panel[(k0 + k) * kMr + i] = row[k];
         }
@@ -64,9 +66,11 @@ void pack_a_matrix(const Matrix<In>& a, std::int64_t row0, std::int64_t em,
   }
 }
 
+/// Contiguous-row B pack: `src` points at element (0, 0) of the kc x en
+/// sub-block, rows `ld` elements apart.
 template <typename In, typename Acc>
-void pack_b_matrix(const Matrix<In>& b, std::int64_t row0, std::int64_t kc,
-                   std::int64_t col0, std::int64_t en, Acc* dst) {
+void pack_b_rows(const In* src, std::int64_t ld, std::int64_t kc,
+                 std::int64_t en, Acc* dst) {
   constexpr std::int64_t kNr = MicroTile<Acc>::kNr;
   const std::int64_t full_panels = en / kNr;
   // B packs row-by-row within a panel (source rows are contiguous), so the
@@ -77,43 +81,75 @@ void pack_b_matrix(const Matrix<In>& b, std::int64_t row0, std::int64_t kc,
   for (std::int64_t q = 0; q < full_panels; ++q) {
     Acc* panel = dst + q * kNr * kc;
     for (std::int64_t k = 0; k < kc; ++k) {
-      convert_row(b.row_ptr(row0 + k) + col0 + q * kNr, kNr,
-                  panel + k * kNr);
+      convert_row(src + k * ld + q * kNr, kNr, panel + k * kNr);
     }
   }
   const std::int64_t nr = en - full_panels * kNr;
   if (nr == 0) return;
   Acc* panel = dst + full_panels * kNr * kc;
   for (std::int64_t k = 0; k < kc; ++k) {
-    const In* src = b.row_ptr(row0 + k) + col0 + full_panels * kNr;
     Acc* row = panel + k * kNr;
-    convert_row(src, nr, row);
+    convert_row(src + k * ld + full_panels * kNr, nr, row);
     for (std::int64_t j = nr; j < kNr; ++j) row[j] = Acc{};
   }
 }
 
-template void pack_a_matrix<double, double>(const Matrix<double>&,
-                                            std::int64_t, std::int64_t,
-                                            std::int64_t, std::int64_t,
-                                            double*);
-template void pack_a_matrix<float, float>(const Matrix<float>&, std::int64_t,
-                                          std::int64_t, std::int64_t,
-                                          std::int64_t, float*);
-template void pack_a_matrix<util::Half, float>(const Matrix<util::Half>&,
-                                               std::int64_t, std::int64_t,
-                                               std::int64_t, std::int64_t,
-                                               float*);
+}  // namespace
 
-template void pack_b_matrix<double, double>(const Matrix<double>&,
-                                            std::int64_t, std::int64_t,
-                                            std::int64_t, std::int64_t,
-                                            double*);
-template void pack_b_matrix<float, float>(const Matrix<float>&, std::int64_t,
-                                          std::int64_t, std::int64_t,
-                                          std::int64_t, float*);
-template void pack_b_matrix<util::Half, float>(const Matrix<util::Half>&,
-                                               std::int64_t, std::int64_t,
-                                               std::int64_t, std::int64_t,
-                                               float*);
+template <typename In, typename Acc>
+void pack_a(const OperandView<const In>& a, std::int64_t row0,
+            std::int64_t em, std::int64_t col0, std::int64_t kc, Acc* dst) {
+  // The contiguous-row packer pays only when it converts (Half rows widen
+  // 8 lanes at a time).  Without a conversion the accessor walk is faster
+  // inside a running GEMM: measured 4-8% end to end on fp64 m x 40..52 x k
+  // shapes, 1 worker.
+  if constexpr (!std::is_same_v<In, Acc>) {
+    if (a.col_stride() == 1) {
+      pack_a_rows(a.ptr(row0, col0), a.row_stride(), em, kc, dst);
+      return;
+    }
+  }
+  pack_a_panels<Acc>(
+      em, kc,
+      [&](std::int64_t i, std::int64_t k) {
+        return static_cast<Acc>(a.at(row0 + i, col0 + k));
+      },
+      dst);
+}
+
+template <typename In, typename Acc>
+void pack_b(const OperandView<const In>& b, std::int64_t row0,
+            std::int64_t kc, std::int64_t col0, std::int64_t en, Acc* dst) {
+  if (b.col_stride() == 1) {
+    pack_b_rows(b.ptr(row0, col0), b.row_stride(), kc, en, dst);
+    return;
+  }
+  pack_b_panels<Acc>(
+      kc, en,
+      [&](std::int64_t k, std::int64_t j) {
+        return static_cast<Acc>(b.at(row0 + k, col0 + j));
+      },
+      dst);
+}
+
+template void pack_a<double, double>(const OperandView<const double>&,
+                                     std::int64_t, std::int64_t, std::int64_t,
+                                     std::int64_t, double*);
+template void pack_a<float, float>(const OperandView<const float>&,
+                                   std::int64_t, std::int64_t, std::int64_t,
+                                   std::int64_t, float*);
+template void pack_a<util::Half, float>(const OperandView<const util::Half>&,
+                                        std::int64_t, std::int64_t,
+                                        std::int64_t, std::int64_t, float*);
+
+template void pack_b<double, double>(const OperandView<const double>&,
+                                     std::int64_t, std::int64_t, std::int64_t,
+                                     std::int64_t, double*);
+template void pack_b<float, float>(const OperandView<const float>&,
+                                   std::int64_t, std::int64_t, std::int64_t,
+                                   std::int64_t, float*);
+template void pack_b<util::Half, float>(const OperandView<const util::Half>&,
+                                        std::int64_t, std::int64_t,
+                                        std::int64_t, std::int64_t, float*);
 
 }  // namespace streamk::cpu

@@ -21,10 +21,11 @@
 // steady-state traffic over one plan shape repacks into already-held
 // storage and allocates nothing.
 //
-// The packers are templated on a source accessor (In -> Acc conversion
-// happens during the pack, which is where the Half -> float widening of the
-// fp16 path lives); packing.cpp instantiates the contiguous row-major fast
-// path for the three supported precisions.
+// The panel packers are templated on a source accessor (In -> Acc
+// conversion happens during the pack, which is where the Half -> float
+// widening of the fp16 path lives); pack_a / pack_b pick between that
+// accessor walk and the contiguous-row fast path from the operand's strides,
+// and packing.cpp instantiates both for the three supported precisions.
 
 #include <cstdint>
 #include <cstdlib>
@@ -141,40 +142,55 @@ void pack_b_panels(std::int64_t kc, std::int64_t en, SrcFn&& src, Acc* dst) {
   }
 }
 
-/// Row-major contiguous fast path: packs A rows [row0, row0 + em) columns
-/// [col0, col0 + kc) of `a`.
+/// Packs rows [row0, row0 + em) columns [col0, col0 + kc) of `a` into
+/// MR-row panels.  The packer follows the operand, not the front end that
+/// called: a converting view (Half -> float) with unit column stride takes
+/// the contiguous-row path -- unit-stride F16C conversion -- and everything
+/// else (same-type elements, transposed operands) the accessor walk, which
+/// measured faster for them.  Both write identical bytes.
+template <typename In, typename Acc>
+void pack_a(const OperandView<const In>& a, std::int64_t row0,
+            std::int64_t em, std::int64_t col0, std::int64_t kc, Acc* dst);
+
+/// Packs rows [row0, row0 + kc) columns [col0, col0 + en) of `b` into
+/// NR-column panels: the contiguous-row path (a unit-stride sweep, F16C for
+/// Half) when the view's column stride is 1, the accessor walk otherwise.
+template <typename In, typename Acc>
+void pack_b(const OperandView<const In>& b, std::int64_t row0,
+            std::int64_t kc, std::int64_t col0, std::int64_t en, Acc* dst);
+
+/// Row-major Matrix conveniences over pack_a / pack_b.
 template <typename In, typename Acc>
 void pack_a_matrix(const Matrix<In>& a, std::int64_t row0, std::int64_t em,
-                   std::int64_t col0, std::int64_t kc, Acc* dst);
-
-/// Row-major contiguous fast path: packs B rows [row0, row0 + kc) columns
-/// [col0, col0 + en) of `b`.
+                   std::int64_t col0, std::int64_t kc, Acc* dst) {
+  pack_a<In, Acc>(OperandView<const In>(a), row0, em, col0, kc, dst);
+}
 template <typename In, typename Acc>
 void pack_b_matrix(const Matrix<In>& b, std::int64_t row0, std::int64_t kc,
-                   std::int64_t col0, std::int64_t en, Acc* dst);
+                   std::int64_t col0, std::int64_t en, Acc* dst) {
+  pack_b<In, Acc>(OperandView<const In>(b), row0, kc, col0, en, dst);
+}
 
-extern template void pack_a_matrix<double, double>(const Matrix<double>&,
-                                                   std::int64_t, std::int64_t,
-                                                   std::int64_t, std::int64_t,
-                                                   double*);
-extern template void pack_a_matrix<float, float>(const Matrix<float>&,
-                                                 std::int64_t, std::int64_t,
-                                                 std::int64_t, std::int64_t,
-                                                 float*);
-extern template void pack_a_matrix<util::Half, float>(
-    const Matrix<util::Half>&, std::int64_t, std::int64_t, std::int64_t,
-    std::int64_t, float*);
+extern template void pack_a<double, double>(const OperandView<const double>&,
+                                            std::int64_t, std::int64_t,
+                                            std::int64_t, std::int64_t,
+                                            double*);
+extern template void pack_a<float, float>(const OperandView<const float>&,
+                                          std::int64_t, std::int64_t,
+                                          std::int64_t, std::int64_t, float*);
+extern template void pack_a<util::Half, float>(
+    const OperandView<const util::Half>&, std::int64_t, std::int64_t,
+    std::int64_t, std::int64_t, float*);
 
-extern template void pack_b_matrix<double, double>(const Matrix<double>&,
-                                                   std::int64_t, std::int64_t,
-                                                   std::int64_t, std::int64_t,
-                                                   double*);
-extern template void pack_b_matrix<float, float>(const Matrix<float>&,
-                                                 std::int64_t, std::int64_t,
-                                                 std::int64_t, std::int64_t,
-                                                 float*);
-extern template void pack_b_matrix<util::Half, float>(
-    const Matrix<util::Half>&, std::int64_t, std::int64_t, std::int64_t,
-    std::int64_t, float*);
+extern template void pack_b<double, double>(const OperandView<const double>&,
+                                            std::int64_t, std::int64_t,
+                                            std::int64_t, std::int64_t,
+                                            double*);
+extern template void pack_b<float, float>(const OperandView<const float>&,
+                                          std::int64_t, std::int64_t,
+                                          std::int64_t, std::int64_t, float*);
+extern template void pack_b<util::Half, float>(
+    const OperandView<const util::Half>&, std::int64_t, std::int64_t,
+    std::int64_t, std::int64_t, float*);
 
 }  // namespace streamk::cpu

@@ -3,10 +3,10 @@
 // Shared packed-panel cache: pack each A/B panel once per GEMM, not once
 // per tile.
 //
-// The per-CTA MAC loop (cpu/mac_loop.cpp) packs its operands privately, so
-// an A row-panel is repacked by every tile in its grid row and a B
-// column-panel by every tile in its column -- O(tiles_m * tiles_n * k)
-// packing traffic for O((tiles_m + tiles_n) * k) distinct panel bytes.
+// Packed privately, an A row-panel is repacked by every tile in its grid
+// row and a B column-panel by every tile in its column -- O(tiles_m *
+// tiles_n * k) packing traffic for O((tiles_m + tiles_n) * k) distinct
+// panel bytes.
 // PanelCache is a per-GEMM arena holding every (panel, k-chunk) of both
 // operands exactly once, guarded by one atomic claim/publish byte per slot:
 //
@@ -96,9 +96,9 @@ class PackProbe {
 
 /// Slot-grid geometry of one arena: `row_panels` A panels and `col_panels`
 /// B panels, each cut into `chunks` k-chunks of `chunk_depth` accumulator
-/// elements (the plan's pack panel_kc).  Substrates with non-matrix panel
-/// keys (batched entries, convolution iterations) supply their own grid;
-/// plain GEMM takes it from core::SchedulePlan::panel_geometry().
+/// elements (the plan's pack panel_kc).  The GEMM-family executor takes it
+/// from core::SchedulePlan::panel_geometry(); convolution, which packs per
+/// MAC-loop iteration, supplies its own chunking.
 struct PanelCacheConfig {
   std::int64_t row_panels = 0;
   std::int64_t col_panels = 0;

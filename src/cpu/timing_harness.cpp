@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 
+#include "core/schedule_plan.hpp"
 #include "core/stream_k.hpp"
 #include "cpu/executor.hpp"
 #include "util/threading.hpp"
@@ -31,16 +32,19 @@ CalibrationResult calibrate_cpu(const core::GemmShape& shape,
   const std::size_t workers =
       options.workers > 0 ? options.workers : util::default_workers();
 
+  const GemmProblem<double, double> problem{a, b, c};
+  ExecutorOptions exec_options;
+  exec_options.workers = workers;
+
   CalibrationResult result;
   for (const std::int64_t g : grids) {
-    const core::StreamKBasic decomposition(mapping, g);
+    // Compiled once per grid, outside the timed region.
+    const core::SchedulePlan plan =
+        core::compile_plan(core::StreamKBasic(mapping, g));
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < std::max(1, options.repetitions); ++rep) {
       const auto start = std::chrono::steady_clock::now();
-      ExecutorOptions exec_options;
-      exec_options.workers = workers;
-      execute_decomposition<double, double, double>(decomposition, a, b, c,
-                                                    exec_options);
+      execute_plan<double, double, double>(plan, {&problem, 1}, exec_options);
       const auto stop = std::chrono::steady_clock::now();
       best = std::min(best,
                       std::chrono::duration<double>(stop - start).count());

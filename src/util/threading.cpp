@@ -1,13 +1,9 @@
 #include "util/threading.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdlib>
-#include <exception>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 #include "runtime/worker_pool.hpp"
 #include "util/check.hpp"
@@ -16,45 +12,7 @@ namespace streamk::util {
 
 namespace {
 
-std::atomic<ParallelBackend> g_backend{ParallelBackend::kPool};
-
 enum class Order { kAscending, kDescending };
-
-/// The pre-runtime implementation: spawn `workers - 1` fresh threads per
-/// call.  Retained verbatim as the kSpawn backend so the persistent pool's
-/// win stays measurable (bench_runtime_throughput.cpp).
-void run_spawning(std::size_t count,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t workers, Order order) {
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t ticket = next.fetch_add(1, std::memory_order_relaxed);
-      if (ticket >= count) return;
-      const std::size_t index =
-          order == Order::kAscending ? ticket : count - 1 - ticket;
-      try {
-        body(index);
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        // Keep draining tickets so peers blocked on this worker's output are
-        // not left waiting forever; subsequent failures are swallowed.
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (std::size_t t = 1; t < workers; ++t) threads.emplace_back(worker);
-  worker();
-  for (auto& t : threads) t.join();
-
-  if (first_error) std::rethrow_exception(first_error);
-}
 
 void run_parallel(std::size_t count,
                   const std::function<void(std::size_t)>& body,
@@ -74,11 +32,6 @@ void run_parallel(std::size_t count,
     return;
   }
 
-  if (g_backend.load(std::memory_order_relaxed) == ParallelBackend::kSpawn) {
-    run_spawning(count, body, workers, order);
-    return;
-  }
-
   runtime::global_pool().run_region(count, body, workers,
                                     order == Order::kAscending
                                         ? runtime::RegionOrder::kAscending
@@ -86,14 +39,6 @@ void run_parallel(std::size_t count,
 }
 
 }  // namespace
-
-void set_parallel_backend(ParallelBackend backend) {
-  g_backend.store(backend, std::memory_order_relaxed);
-}
-
-ParallelBackend parallel_backend() {
-  return g_backend.load(std::memory_order_relaxed);
-}
 
 void parallel_for_descending(std::size_t count,
                              const std::function<void(std::size_t)>& body,

@@ -7,32 +7,19 @@
 // atomic counter, and exceptions from workers are captured and rethrown on
 // the calling thread instead of terminating the process.
 //
-// Since the runtime subsystem landed, the default backend dispatches onto
-// the process-wide persistent runtime::WorkerPool: the calling thread
-// claims indices itself and up to `workers - 1` idle pool workers help, so
-// no call ever spawns a thread.  The legacy spawn-per-call backend is kept
-// selectable for A/B measurement (bench/bench_runtime_throughput.cpp) and
-// as a diagnostic escape hatch.
+// Regions dispatch onto the process-wide persistent runtime::WorkerPool:
+// the calling thread claims indices itself and up to `workers - 1` idle
+// pool workers help, so no call ever spawns a thread.
 
 #include <cstddef>
 #include <functional>
 
 namespace streamk::util {
 
-/// How parallel_for{,_descending} obtain their worker threads.
-enum class ParallelBackend {
-  kPool,   ///< persistent runtime::global_pool() workers (default)
-  kSpawn,  ///< legacy: spawn workers-1 fresh std::threads per call
-};
-
-/// Sets the process-wide backend (atomic; affects subsequent calls).
-void set_parallel_backend(ParallelBackend backend);
-ParallelBackend parallel_backend();
-
 /// Runs `body(index)` for every index in [0, count) across at most
 /// `workers` threads (never more than `count` -- a 2-CTA schedule with 16
 /// workers occupies 2 threads, not 16).  `workers == 1` executes inline (no
-/// thread spawn, no pool dispatch).  Indices are claimed dynamically in
+/// pool dispatch).  Indices are claimed dynamically in
 /// *descending* order; see cpu/executor.hpp for why descending order
 /// matters to the GEMM fixup protocol.  The first exception thrown by any
 /// worker is rethrown after the parallel region quiesces.

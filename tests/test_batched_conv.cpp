@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "conv/implicit_gemm.hpp"
+#include "core/grouped.hpp"
+#include "core/schedule_plan.hpp"
 #include "core/stream_k.hpp"
 #include "core/validate.hpp"
 #include "cpu/batched.hpp"
+#include "cpu/executor.hpp"
 #include "cpu/reference.hpp"
 #include "test_support.hpp"
 
@@ -26,19 +29,92 @@ TEST(Batched, MappingStacksEntriesAlongM) {
   EXPECT_EQ(mapping.iters_per_tile(), 4);
 }
 
-TEST(Batched, TileDecodeRoundTrip) {
+/// The batch's uniform group: `batch` copies of the entry shape.
+std::vector<core::GemmShape> uniform_group(const cpu::BatchedShape& batched) {
+  return std::vector<core::GemmShape>(
+      static_cast<std::size_t>(batched.batch), batched.shape);
+}
+
+/// The stacked decomposition's segment streams compiled over the batch's
+/// uniform group (tile numbering coincides), so any stacked schedule --
+/// including the ceil-uniform Stream-K partition no grouped spec names --
+/// runs through the executor batched_gemm uses.
+core::SchedulePlan uniform_group_plan(const cpu::BatchedShape& batched,
+                                      const gpu::BlockShape& block,
+                                      const core::Decomposition& stacked) {
+  const core::GroupedMapping group(uniform_group(batched), block);
+  core::DecompositionSpec spec;  // names the plan; the streams are injected
+  spec.kind = stacked.kind();
+  spec.grid = stacked.grid_size();
+  spec.sm_count = stacked.grid_size();
+  return core::SchedulePlan(
+      group, spec, stacked.grid_size(),
+      [&](std::int64_t cta) { return stacked.cta_work(cta); });
+}
+
+TEST(Batched, UniformGroupDecodesLikeTheStackedMapping) {
   const cpu::BatchedShape batched{4, {65, 70, 30}};
   const gpu::BlockShape block{32, 32, 16};
   const core::WorkMapping mapping = cpu::batched_mapping(batched, block);
+  const core::DataParallel dp(mapping);
+  const core::SchedulePlan plan = uniform_group_plan(batched, block, dp);
   const std::int64_t tiles_m = core::ceil_div(batched.shape.m, block.m);
-  const std::int64_t tiles_n = core::ceil_div(batched.shape.n, block.n);
+  ASSERT_EQ(plan.tiles(), mapping.tiles());
   for (std::int64_t t = 0; t < mapping.tiles(); ++t) {
-    const cpu::BatchedTile tile = cpu::batched_tile(batched, block, t);
-    EXPECT_GE(tile.entry, 0);
-    EXPECT_LT(tile.entry, batched.batch);
-    EXPECT_LT(tile.local_tm, tiles_m);
-    EXPECT_LT(tile.tn, tiles_n);
-    EXPECT_EQ((tile.entry * tiles_m + tile.local_tm) * tiles_n + tile.tn, t);
+    const core::TileRef ref = plan.tile_ref(t);
+    const core::TileCoord stacked = mapping.tile_coord(t);
+    EXPECT_LT(ref.problem, static_cast<std::size_t>(batched.batch));
+    EXPECT_EQ(static_cast<std::int64_t>(ref.problem) * tiles_m + ref.tm,
+              stacked.tm);
+    EXPECT_EQ(ref.tn, stacked.tn);
+  }
+}
+
+TEST(Batched, UniformGroupCompilesTheStackedSegmentStreams) {
+  // batched_gemm runs a uniform group; kAuto and the tuner still reason
+  // over the stacked batched_mapping.  Both must compile the same segment
+  // streams for every kind, or batching would change results.
+  const gpu::BlockShape block{32, 32, 16};
+  for (const cpu::BatchedShape batched :
+       {cpu::BatchedShape{3, {65, 40, 50}}, cpu::BatchedShape{5, {32, 96, 7}},
+        cpu::BatchedShape{2, {100, 33, 200}}}) {
+    const core::WorkMapping stacked = cpu::batched_mapping(batched, block);
+    const core::GroupedMapping group(uniform_group(batched), block);
+    std::vector<core::DecompositionSpec> specs;
+    specs.push_back({.kind = core::DecompositionKind::kDataParallel});
+    for (const std::int64_t s : {2, 3}) {
+      specs.push_back({.kind = core::DecompositionKind::kFixedSplit,
+                       .split = s});
+    }
+    for (const std::int64_t g : {1, 3, 7}) {
+      specs.push_back({.kind = core::DecompositionKind::kStreamKBasic,
+                       .grid = g});
+    }
+    for (const std::int64_t p : {2, 4, 6}) {
+      specs.push_back({.kind = core::DecompositionKind::kHybridOneTile,
+                       .sm_count = p});
+      specs.push_back({.kind = core::DecompositionKind::kHybridTwoTile,
+                       .sm_count = p});
+    }
+    for (const core::DecompositionSpec& spec : specs) {
+      const core::SchedulePlan want =
+          core::compile_plan(*core::make_decomposition(spec, stacked));
+      const core::SchedulePlan got(group, spec);
+      SCOPED_TRACE(want.name());
+      ASSERT_EQ(got.grid(), want.grid());
+      for (std::int64_t cta = 0; cta < want.grid(); ++cta) {
+        const auto w = want.cta_segments(cta);
+        const auto g = got.cta_segments(cta);
+        ASSERT_EQ(w.size(), g.size()) << "cta " << cta;
+        for (std::size_t i = 0; i < w.size(); ++i) {
+          EXPECT_EQ(w[i].tile_idx, g[i].tile_idx);
+          EXPECT_EQ(w[i].iter_begin, g[i].iter_begin);
+          EXPECT_EQ(w[i].iter_end, g[i].iter_end);
+          EXPECT_EQ(w[i].last, g[i].last);
+        }
+      }
+      EXPECT_EQ(got.pack_geometry().panel_kc, want.pack_geometry().panel_kc);
+    }
   }
 }
 
@@ -66,8 +142,13 @@ TEST(Batched, AllDecompositionsMatchPerEntryReference) {
     for (std::int64_t e = 0; e < batched.batch; ++e) {
       cs.emplace_back(batched.shape.m, batched.shape.n);
     }
-    cpu::execute_batched<double, double, double>(
-        *named.decomposition, batched, as, bs, cs, {.workers = 3});
+    std::vector<cpu::GemmProblem<double, double>> problems;
+    for (std::size_t e = 0; e < cs.size(); ++e) {
+      problems.push_back({as[e], bs[e], cs[e]});
+    }
+    cpu::execute_plan<double, double, double>(
+        uniform_group_plan(batched, block, *named.decomposition), problems,
+        {.workers = 3});
     for (std::size_t e = 0; e < cs.size(); ++e) {
       EXPECT_TRUE(testing::bitwise_equal(expected[e], cs[e]))
           << "entry " << e;
@@ -79,20 +160,48 @@ TEST(Batched, StreamKCrossesEntryBoundaries) {
   // One grid smaller than the batch: a CTA must span entries.
   const cpu::BatchedShape batched{4, {32, 32, 64}};
   const gpu::BlockShape block{32, 32, 16};
-  const core::WorkMapping mapping = cpu::batched_mapping(batched, block);
-  ASSERT_EQ(mapping.tiles(), 4);
-  const core::StreamKBasic sk(mapping, 3);  // 16 iterations over 3 CTAs
-  EXPECT_NO_THROW(core::validate_decomposition(sk));
+  const core::GroupedMapping group(uniform_group(batched), block);
+  ASSERT_EQ(group.tiles(), 4);
+  // 16 iterations over 3 CTAs.
+  const core::SchedulePlan plan(
+      group, {.kind = core::DecompositionKind::kStreamKBasic, .grid = 3});
+  EXPECT_NO_THROW(core::validate_plan(plan));
   bool crosses = false;
   for (std::int64_t cta = 0; cta < 3; ++cta) {
-    std::int64_t first_entry = -1;
-    for (const auto& seg : sk.cta_work(cta).segments) {
-      const auto tile = cpu::batched_tile(batched, block, seg.tile_idx);
-      if (first_entry == -1) first_entry = tile.entry;
-      if (tile.entry != first_entry) crosses = true;
+    std::size_t first_entry = batched.batch;
+    for (const auto& seg : plan.cta_segments(cta)) {
+      const std::size_t entry = plan.tile_ref(seg.tile_idx).problem;
+      if (first_entry == static_cast<std::size_t>(batched.batch)) {
+        first_entry = entry;
+      }
+      if (entry != first_entry) crosses = true;
     }
   }
   EXPECT_TRUE(crosses);
+}
+
+TEST(Batched, AutoResolvesOverTheStackedMapping) {
+  // kAuto keeps planning over the stacked mapping although the batch runs
+  // as a uniform group.
+  const cpu::BatchedShape batched{6, {40, 72, 96}};
+  std::vector<cpu::Matrix<double>> as, bs, cs;
+  for (std::int64_t e = 0; e < batched.batch; ++e) {
+    as.emplace_back(batched.shape.m, batched.shape.k);
+    bs.emplace_back(batched.shape.k, batched.shape.n);
+    cs.emplace_back(batched.shape.m, batched.shape.n);
+  }
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    const cpu::GemmOptions options{.block = {32, 32, 16}, .workers = workers};
+    const cpu::GemmReport report =
+        cpu::batched_gemm<double, double, double>(as, bs, cs, options);
+    const core::DecompositionSpec expected = cpu::resolve_schedule(
+        options, cpu::batched_mapping(batched, options.block),
+        gpu::Precision::kFp64, workers);
+    EXPECT_EQ(report.spec.kind, expected.kind) << "workers " << workers;
+    EXPECT_EQ(report.spec.grid, expected.grid);
+    EXPECT_EQ(report.spec.split, expected.split);
+    EXPECT_EQ(report.spec.sm_count, expected.sm_count);
+  }
 }
 
 TEST(Batched, FrontEndAutoSchedule) {
@@ -193,9 +302,9 @@ TEST(Conv, ImplicitGemmMatchesDirectAcrossDecompositions) {
     SCOPED_TRACE(named.label);
     conv::Tensor4<double> out(conv.batch, conv.out_h(), conv.out_w(),
                               conv.out_channels);
-    conv::execute_conv<double, double, double>(*named.decomposition, conv,
-                                               input, filter, out,
-                                               {.workers = 3});
+    conv::execute_conv_plan<double, double, double>(
+        core::compile_plan(*named.decomposition), conv, input, filter, out,
+        {.workers = 3});
     bool equal = true;
     for (std::size_t i = 0; i < out.data().size(); ++i) {
       if (out.data()[i] != expected.data()[i]) equal = false;

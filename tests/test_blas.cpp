@@ -12,8 +12,9 @@ namespace {
 
 /// Naive C = alpha * op(A).op(B) + beta * C reference through the views.
 template <typename In, typename Acc, typename Out>
-void naive_view_gemm(const MatrixView<In>& a, const MatrixView<In>& b,
-                     Matrix<Out>& c, double alpha, double beta) {
+void naive_view_gemm(const OperandView<const In>& a,
+                     const OperandView<const In>& b, Matrix<Out>& c,
+                     double alpha, double beta) {
   for (std::int64_t i = 0; i < a.rows(); ++i) {
     for (std::int64_t j = 0; j < b.cols(); ++j) {
       Acc sum{};
@@ -27,16 +28,18 @@ void naive_view_gemm(const MatrixView<In>& a, const MatrixView<In>& b,
   }
 }
 
-TEST(MatrixView, TransposeSwapsExtentsAndIndices) {
+TEST(OperandView, TransposeSwapsExtentsAndIndices) {
   Matrix<double> m(3, 5);
   util::Pcg32 rng(1);
   fill_random(m, rng);
-  const MatrixView<double> plain(m, Trans::kNone);
-  const MatrixView<double> t(m, Trans::kTranspose);
+  const OperandView<const double> plain(m, Trans::kNone);
+  const OperandView<const double> t(m, Trans::kTranspose);
   EXPECT_EQ(plain.rows(), 3);
   EXPECT_EQ(plain.cols(), 5);
+  EXPECT_EQ(plain.col_stride(), 1);
   EXPECT_EQ(t.rows(), 5);
   EXPECT_EQ(t.cols(), 3);
+  EXPECT_EQ(t.row_stride(), 1);
   for (std::int64_t i = 0; i < 3; ++i) {
     for (std::int64_t j = 0; j < 5; ++j) {
       EXPECT_EQ(plain.at(i, j), m.at(i, j));
@@ -59,9 +62,8 @@ TEST(Blas, DgemmAllFourLayouts) {
       fill_random_int(b, rng);
 
       Matrix<double> expected(m, n);
-      naive_view_gemm<double, double, double>(MatrixView<double>(a, ta),
-                                              MatrixView<double>(b, tb),
-                                              expected, 1.0, 0.0);
+      naive_view_gemm<double, double, double>({a, ta}, {b, tb}, expected,
+                                              1.0, 0.0);
       Matrix<double> c(m, n);
       const GemmReport report =
           dgemm(ta, tb, 1.0, a, b, 0.0, c,
@@ -84,8 +86,7 @@ TEST(Blas, SgemmTransposedWithAlphaBeta) {
 
   Matrix<float> expected = c_init;
   naive_view_gemm<float, float, float>(
-      MatrixView<float>(a, Trans::kTranspose),
-      MatrixView<float>(b, Trans::kNone), expected, 3.0, -2.0);
+      {a, Trans::kTranspose}, {b, Trans::kNone}, expected, 3.0, -2.0);
 
   Matrix<float> c = c_init;
   sgemm(Trans::kTranspose, Trans::kNone, 3.0, a, b, -2.0, c,
@@ -104,8 +105,7 @@ TEST(Blas, HgemmTransposeTranspose) {
 
   Matrix<float> expected(m, n);
   naive_view_gemm<util::Half, float, float>(
-      MatrixView<util::Half>(a, Trans::kTranspose),
-      MatrixView<util::Half>(b, Trans::kTranspose), expected, 1.0, 0.0);
+      {a, Trans::kTranspose}, {b, Trans::kTranspose}, expected, 1.0, 0.0);
 
   Matrix<float> c(m, n);
   const GemmReport report =

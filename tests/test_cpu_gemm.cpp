@@ -23,6 +23,7 @@ namespace {
 
 using testing::all_decompositions;
 using testing::bitwise_equal;
+using testing::execute_matrices;
 using testing::max_abs_diff;
 
 struct Case {
@@ -61,8 +62,8 @@ TEST_P(CpuGemmExact, Fp64AllDecompositionsBitwiseEqualReference) {
     SCOPED_TRACE(named.label);
     Matrix<double> c(shape.m, shape.n);
     fill_value(c, -999.0);  // must be fully overwritten (beta = 0)
-    execute_decomposition<double, double, double>(*named.decomposition, a, b,
-                                                  c, {.workers = 3});
+    execute_matrices<double, double, double>(*named.decomposition, a, b,
+                                             c, {.workers = 3});
     EXPECT_TRUE(bitwise_equal(expected, c));
   }
 }
@@ -83,8 +84,8 @@ TEST_P(CpuGemmExact, Fp32AllDecompositionsBitwiseEqualReference) {
   for (const auto& named : all_decompositions(mapping)) {
     SCOPED_TRACE(named.label);
     Matrix<float> c(shape.m, shape.n);
-    execute_decomposition<float, float, float>(*named.decomposition, a, b, c,
-                                               {.workers = 2});
+    execute_matrices<float, float, float>(*named.decomposition, a, b, c,
+                                          {.workers = 2});
     EXPECT_TRUE(bitwise_equal(expected, c));
   }
 }
@@ -106,8 +107,8 @@ TEST_P(CpuGemmExact, Fp16AllDecompositionsBitwiseEqualReference) {
   for (const auto& named : all_decompositions(mapping)) {
     SCOPED_TRACE(named.label);
     Matrix<float> c(shape.m, shape.n);
-    execute_decomposition<util::Half, float, float>(*named.decomposition, a,
-                                                    b, c, {.workers = 3});
+    execute_matrices<util::Half, float, float>(*named.decomposition, a,
+                                               b, c, {.workers = 3});
     EXPECT_TRUE(bitwise_equal(expected, c));
   }
 }
@@ -139,8 +140,8 @@ TEST(CpuGemmTolerance, RealValuedInputsWithinBound) {
   for (const auto& named : all_decompositions(mapping)) {
     SCOPED_TRACE(named.label);
     Matrix<double> c(shape.m, shape.n);
-    execute_decomposition<double, double, double>(*named.decomposition, a, b,
-                                                  c, {.workers = 4});
+    execute_matrices<double, double, double>(*named.decomposition, a, b,
+                                             c, {.workers = 4});
     EXPECT_LT(max_abs_diff(expected, c),
               1e-12 * static_cast<double>(shape.k));
   }
@@ -164,8 +165,7 @@ TEST(CpuGemmTolerance, HalfInputsAgainstFloatReference) {
 
   core::StreamKBasic sk(mapping, 7);
   Matrix<float> c(shape.m, shape.n);
-  execute_decomposition<util::Half, float, float>(sk, a, b, c,
-                                                  {.workers = 2});
+  execute_matrices<util::Half, float, float>(sk, a, b, c, {.workers = 2});
   EXPECT_LT(max_abs_diff(expected, c), 1e-4 * static_cast<double>(shape.k));
 }
 
@@ -184,11 +184,10 @@ TEST(CpuGemm, ResultIndependentOfWorkerCount) {
   fill_random(b, rng);
 
   Matrix<float> first(shape.m, shape.n);
-  execute_decomposition<float, float, float>(sk, a, b, first, {.workers = 1});
+  execute_matrices<float, float, float>(sk, a, b, first, {.workers = 1});
   for (const std::size_t workers : {2u, 3u, 8u}) {
     Matrix<float> c(shape.m, shape.n);
-    execute_decomposition<float, float, float>(sk, a, b, c,
-                                               {.workers = workers});
+    execute_matrices<float, float, float>(sk, a, b, c, {.workers = workers});
     EXPECT_TRUE(bitwise_equal(first, c)) << "workers=" << workers;
   }
 }
@@ -212,7 +211,7 @@ TEST(CpuGemm, AlphaBetaEpilogue) {
 
   const core::StreamKBasic sk(mapping, 5);
   Matrix<double> c = c_init;
-  execute_decomposition<double, double, double>(
+  execute_matrices<double, double, double>(
       sk, a, b, c, {.workers = 2, .alpha = alpha, .beta = beta});
   EXPECT_TRUE(bitwise_equal(expected, c));
 }
@@ -223,7 +222,7 @@ TEST(CpuGemm, RejectsNonConformingMatrices) {
   Matrix<double> a(64, 32);  // wrong k
   Matrix<double> b(64, 64);
   Matrix<double> c(64, 64);
-  EXPECT_THROW((execute_decomposition<double, double, double>(sk, a, b, c)),
+  EXPECT_THROW((execute_matrices<double, double, double>(sk, a, b, c)),
                util::CheckError);
 }
 
@@ -262,7 +261,10 @@ TEST(MacAccounting, EdgeTilePerformsOnlyValidRegionWork) {
                             0.0);
   MacScratch<double> scratch(block);
   MacProbe::enable(true);
-  run_mac_segment<double, double>(a, b, mapping, seg, accum, scratch);
+  const core::SchedulePlan plan =
+      core::compile_plan(core::DataParallel(mapping));
+  mac_segment<double, double>(plan, plan.tile_ref(tile_idx), a, b, seg,
+                              accum, scratch);
   const std::int64_t macs = MacProbe::count();
   MacProbe::enable(false);
 
@@ -290,8 +292,8 @@ TEST(MacAccounting, WholeGemmPerformsExactlyUsefulMacsUnderEveryKind) {
     SCOPED_TRACE(named.label);
     Matrix<double> c(shape.m, shape.n);
     MacProbe::enable(true);
-    execute_decomposition<double, double, double>(*named.decomposition, a, b,
-                                                  c, {.workers = 2});
+    execute_matrices<double, double, double>(*named.decomposition, a, b,
+                                             c, {.workers = 2});
     const std::int64_t macs = MacProbe::count();
     MacProbe::enable(false);
     EXPECT_EQ(macs, shape.macs());

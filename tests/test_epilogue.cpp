@@ -168,7 +168,7 @@ TEST(EpilogueOncePerElement, Fp64AllKindsAdversarialSplits) {
     options.beta = 1.0;
     options.epilogue = spec;
     EpilogueProbe::begin(shape.m * shape.n);
-    cpu::execute_plan<double, double, double>(plan, a, b, c, options);
+    testing::execute_matrices<double, double, double>(plan, a, b, c, options);
     EpilogueProbe::end();
 
     // Exactly once per element: no element skipped, none double-applied,
@@ -227,7 +227,8 @@ TEST(EpilogueOncePerElement, Fp16SpillingStreamKOversubscribed) {
     options.workers = 8;  // oversubscribes the spilling seams
     options.epilogue = spec;
     EpilogueProbe::begin(shape.m * shape.n);
-    cpu::execute_plan<util::Half, float, float>(plan, a, b, c, options);
+    testing::execute_matrices<util::Half, float, float>(plan, a, b, c,
+                                                        options);
     EpilogueProbe::end();
 
     EXPECT_TRUE(EpilogueProbe::all_exactly_once());

@@ -106,8 +106,8 @@ TEST(TileOrder, MortonMappingStillValidatesAndExecutes) {
 
   const core::StreamKBasic sk(mapping, 7);
   cpu::Matrix<double> c(shape.m, shape.n);
-  cpu::execute_decomposition<double, double, double>(sk, a, b, c,
-                                                     {.workers = 3});
+  testing::execute_matrices<double, double, double>(sk, a, b, c,
+                                                    {.workers = 3});
   EXPECT_TRUE(testing::bitwise_equal(expected, c));
 }
 

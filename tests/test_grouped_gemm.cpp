@@ -16,9 +16,11 @@
 
 #include "core/grouped.hpp"
 #include "cpu/batched.hpp"
+#include "cpu/blas.hpp"
 #include "cpu/gemm.hpp"
 #include "cpu/grouped.hpp"
 #include "cpu/reference.hpp"
+#include "runtime/gemm_runtime.hpp"
 #include "test_support.hpp"
 #include "tuner/dispatch.hpp"
 #include "tuner/tuning_db.hpp"
@@ -345,6 +347,126 @@ TEST(GroupedGemm, BatchOfOneAndGroupOfOneMatchPlainGemmBitwise) {
   cpu::grouped_gemm<double, double, double>(as, bs, grouped_c, options);
   EXPECT_TRUE(bitwise_equal(plain, batched_c[0]));
   EXPECT_TRUE(bitwise_equal(plain, grouped_c[0]));
+}
+
+cpu::GemmReport blas_nn(const Matrix<double>& a, const Matrix<double>& b,
+                        Matrix<double>& c, const GemmOptions& o) {
+  return cpu::dgemm(cpu::Trans::kNone, cpu::Trans::kNone, o.alpha, a, b,
+                    o.beta, c, o);
+}
+cpu::GemmReport blas_nn(const Matrix<float>& a, const Matrix<float>& b,
+                        Matrix<float>& c, const GemmOptions& o) {
+  return cpu::sgemm(cpu::Trans::kNone, cpu::Trans::kNone, o.alpha, a, b,
+                    o.beta, c, o);
+}
+cpu::GemmReport blas_nn(const Matrix<util::Half>& a,
+                        const Matrix<util::Half>& b, Matrix<float>& c,
+                        const GemmOptions& o) {
+  return cpu::hgemm(cpu::Trans::kNone, cpu::Trans::kNone, o.alpha, a, b,
+                    o.beta, c, o);
+}
+
+/// Real-valued data, so any change of summation order would show: the four
+/// GEMM-family front ends run one executor and must agree bit for bit.
+template <typename In, typename Acc, typename Out>
+void expect_front_ends_agree(std::uint64_t seed) {
+  const core::GemmShape shape{70, 45, 90};
+  util::Pcg32 rng(seed);
+  Matrix<In> a(shape.m, shape.k), b(shape.k, shape.n);
+  Matrix<Out> c0(shape.m, shape.n);
+  cpu::fill_random(a, rng);
+  cpu::fill_random(b, rng);
+  cpu::fill_random(c0, rng);
+  const std::vector<Matrix<In>> as{a}, bs{b};
+  for (const NamedSchedule& s : all_schedules()) {
+    SCOPED_TRACE(s.label);
+    const GemmOptions options{.schedule = s.schedule,
+                              .block = {32, 32, 16},
+                              .grid = s.grid,
+                              .split = s.split,
+                              .workers = 3,
+                              .alpha = 1.5,
+                              .beta = -0.5};
+    Matrix<Out> plain = c0;
+    cpu::gemm(a, b, plain, options);
+    Matrix<Out> blas = c0;
+    blas_nn(a, b, blas, options);
+    std::vector<Matrix<Out>> grouped{c0}, batched{c0};
+    cpu::grouped_gemm<In, Acc, Out>(as, bs, grouped, options);
+    cpu::batched_gemm<In, Acc, Out>(as, bs, batched, options);
+    EXPECT_TRUE(bitwise_equal(plain, blas));
+    EXPECT_TRUE(bitwise_equal(plain, grouped[0]));
+    EXPECT_TRUE(bitwise_equal(plain, batched[0]));
+  }
+}
+
+TEST(FrontEnds, GemmBlasGroupAndBatchOfOneAgreeBitwise) {
+  expect_front_ends_agree<double, double, double>(101);
+  expect_front_ends_agree<float, float, float>(102);
+  expect_front_ends_agree<util::Half, float, float>(103);
+}
+
+TEST(FrontEnds, OutputAliasingAnInputIsRejected) {
+  // C overlapping A or B used to return normally with wrong results.
+  util::Pcg32 rng(17);
+  Matrix<double> x(40, 40), y(40, 40);
+  cpu::fill_random(x, rng);
+  cpu::fill_random(y, rng);
+  const GemmOptions options{.workers = 1};
+  EXPECT_THROW(cpu::gemm(x, y, x, options), util::CheckError);
+  EXPECT_THROW(cpu::gemm(x, y, y, options), util::CheckError);
+  EXPECT_THROW(cpu::dgemm(cpu::Trans::kTranspose, cpu::Trans::kNone, 1.0, x,
+                          y, 0.0, x, options),
+               util::CheckError);
+
+  // Batched / grouped: C of problem 0 is A of problem 1.
+  std::vector<Matrix<double>> mats{Matrix<double>(40, 40),
+                                   Matrix<double>(40, 40),
+                                   Matrix<double>(40, 40)};
+  const std::vector<Matrix<double>> bs{y, y};
+  const std::span<const Matrix<double>> as(mats.data(), 2);
+  const std::span<Matrix<double>> cs(mats.data() + 1, 2);
+  EXPECT_THROW((cpu::batched_gemm<double, double, double>(as, bs, cs,
+                                                          options)),
+               util::CheckError);
+  EXPECT_THROW((cpu::grouped_gemm<double, double, double>(as, bs, cs,
+                                                          options)),
+               util::CheckError);
+  // Inputs may share storage (here A == B per problem); only outputs must
+  // stay apart from everything.
+  std::vector<Matrix<double>> outs{Matrix<double>(40, 40),
+                                   Matrix<double>(40, 40)};
+  EXPECT_NO_THROW((cpu::batched_gemm<double, double, double>(as, as, outs,
+                                                             options)));
+  EXPECT_NO_THROW((cpu::grouped_gemm<double, double, double>(as, as, outs,
+                                                             options)));
+}
+
+TEST(FrontEnds, ShortOperandSpansAreRejectedBeforeIndexing) {
+  // A batch whose B or C span is shorter than its A span used to read
+  // past the end (a segfault, not an error).
+  const std::vector<Matrix<double>> one_a{Matrix<double>(8, 8)};
+  const std::vector<Matrix<double>> no_b;
+  std::vector<Matrix<double>> one_c{Matrix<double>(8, 8)};
+  std::vector<Matrix<double>> no_c;
+  const std::vector<Matrix<double>> one_b{Matrix<double>(8, 8)};
+  EXPECT_THROW((cpu::batched_gemm<double, double, double>(one_a, no_b,
+                                                          one_c)),
+               util::CheckError);
+  EXPECT_THROW((cpu::batched_gemm<double, double, double>(one_a, one_b,
+                                                          no_c)),
+               util::CheckError);
+  EXPECT_THROW(runtime::submit_batched_gemm(std::span(one_a),
+                                            std::span(no_b),
+                                            std::span(one_c))
+                   .get(),
+               util::CheckError);
+  EXPECT_THROW((cpu::grouped_gemm<double, double, double>(one_a, no_b,
+                                                          one_c)),
+               util::CheckError);
+  EXPECT_THROW((cpu::grouped_gemm<double, double, double>(one_a, one_b,
+                                                          no_c)),
+               util::CheckError);
 }
 
 /// Clears the global tuning db on entry and exit so dispatch tests cannot

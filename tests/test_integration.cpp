@@ -61,8 +61,8 @@ TEST(Executor, SingleWorkerHandlesHeavySplitting) {
   cpu::reference_gemm<double, double, double>(a, b, expected, {32, 32, 4});
 
   cpu::Matrix<double> c(shape.m, shape.n);
-  cpu::execute_decomposition<double, double, double>(sk, a, b, c,
-                                                     {.workers = 1});
+  testing::execute_matrices<double, double, double>(sk, a, b, c,
+                                                    {.workers = 1});
   EXPECT_TRUE(testing::bitwise_equal(expected, c));
 }
 
@@ -82,8 +82,8 @@ TEST(Executor, OversubscribedWorkersStillCorrect) {
   cpu::reference_gemm<float, float, float>(a, b, expected, {32, 32, 16});
 
   cpu::Matrix<float> c(shape.m, shape.n);
-  cpu::execute_decomposition<float, float, float>(sk, a, b, c,
-                                                  {.workers = 16});
+  testing::execute_matrices<float, float, float>(sk, a, b, c,
+                                                 {.workers = 16});
   EXPECT_TRUE(testing::bitwise_equal(expected, c));
 }
 

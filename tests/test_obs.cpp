@@ -1,6 +1,7 @@
 // Unit tests for the observability layer: trace ring-buffer wraparound and
 // concurrent emission, snapshot-while-writing seqlock integrity, off-path
-// no-op semantics, metrics-registry correctness under concurrent updates,
+// no-op semantics, one kGemm span per call from every GEMM front end,
+// metrics-registry correctness under concurrent updates,
 // serialization (Chrome trace JSON, metrics JSON/CSV), the leveled log
 // sink, and the Stream-K load-balance profile math.
 //
@@ -13,10 +14,17 @@
 
 #include <atomic>
 #include <cctype>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "conv/implicit_gemm.hpp"
+#include "cpu/batched.hpp"
+#include "cpu/blas.hpp"
+#include "cpu/gemm.hpp"
+#include "cpu/grouped.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
@@ -168,6 +176,62 @@ TEST(Trace, SpanGuardMeasuresItsScope) {
   // Compile-time kill: the macro vanished entirely.
   EXPECT_TRUE(spans.empty());
 #endif
+}
+
+TEST(Trace, EveryFrontEndEmitsOneGemmSpanPerCall) {
+  // The one blocking call path owns the kGemm span and the gemm.calls
+  // counter, so every front end is observed the same way.
+  cpu::Matrix<double> a(40, 24), b(24, 32), bt(32, 24), c(40, 32);
+  std::vector<cpu::Matrix<double>> as{a, a}, bs{b, b}, cs{c, c};
+  std::vector<cpu::Matrix<double>> ragged_as{cpu::Matrix<double>(8, 24), a};
+  conv::ConvShape shape;
+  shape.batch = 1;
+  shape.height = 6;
+  shape.width = 6;
+  shape.in_channels = 3;
+  shape.out_channels = 4;
+  shape.filter_h = 3;
+  shape.filter_w = 3;
+  shape.pad = 1;
+  conv::Tensor4<double> input(1, 6, 6, 3), filter(4, 3, 3, 3);
+  conv::Tensor4<double> output(1, shape.out_h(), shape.out_w(), 4);
+  std::vector<cpu::Matrix<double>> ragged_cs{cpu::Matrix<double>(8, 32), c};
+  const cpu::GemmOptions options{.block = {16, 16, 8}, .workers = 2};
+
+  const std::vector<std::pair<std::string, std::function<void()>>> calls = {
+      {"gemm", [&] { cpu::gemm(a, b, c, options); }},
+      {"dgemm",
+       [&] {
+         cpu::dgemm(cpu::Trans::kNone, cpu::Trans::kTranspose, 1.0, a, bt,
+                    0.0, c, options);
+       }},
+      {"batched",
+       [&] { cpu::batched_gemm<double, double, double>(as, bs, cs, options); }},
+      {"grouped",
+       [&] {
+         cpu::grouped_gemm<double, double, double>(ragged_as, bs, ragged_cs,
+                                                   options);
+       }},
+      {"conv",
+       [&] {
+         conv::conv_forward<double, double, double>(shape, input, filter,
+                                                    output, options);
+       }},
+  };
+  for (const auto& [label, call] : calls) {
+    SCOPED_TRACE(label);
+    TraceScope scope;
+    const auto calls_before = obs::counter("gemm.calls").value();
+    call();
+    const auto spans = spans_of_kind(obs::EventKind::kGemm);
+#if STREAMK_OBS_ENABLED
+    EXPECT_EQ(spans.size(), 1u);
+    EXPECT_EQ(obs::counter("gemm.calls").value(), calls_before + 1);
+#else
+    EXPECT_TRUE(spans.empty());
+    EXPECT_EQ(obs::counter("gemm.calls").value(), calls_before);
+#endif
+  }
 }
 
 TEST(Trace, ChromeJsonHasEventsAndMetadata) {

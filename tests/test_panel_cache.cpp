@@ -419,7 +419,7 @@ TEST(Packing, ZeroFillSkipKeepsUsefulMacCountsExact) {
   }
 }
 
-// --- windowed panel-cost model ---------------------------------------------
+// --- panel-touch cost model ----------------------------------------------
 
 TEST(PanelCost, WindowOneEqualsTwiceTheTileCount) {
   util::Pcg32 rng(0xc057);
@@ -430,13 +430,14 @@ TEST(PanelCost, WindowOneEqualsTwiceTheTileCount) {
     for (const auto order :
          {core::TileOrder::kRowMajor, core::TileOrder::kMortonZ}) {
       // Singleton windows touch exactly one row + one column panel each.
-      EXPECT_EQ(core::windowed_panel_cost(order, tiles_m, tiles_n, 1),
+      const core::TileOrdering ordering(order, tiles_m, tiles_n);
+      EXPECT_EQ(core::panel_touch_cost(ordering, tiles_m, tiles_n, 1),
                 2 * tiles_m * tiles_n);
     }
   }
 }
 
-TEST(PanelCost, MemoMatchesDirectAndCostIsMonotoneInWindow) {
+TEST(PanelCost, CostIsMonotoneInWindow) {
   util::Pcg32 rng(0x3030);
   for (int trial = 0; trial < 16; ++trial) {
     const auto tiles_m = static_cast<std::int64_t>(rng.uniform_below(20) + 1);
@@ -448,16 +449,14 @@ TEST(PanelCost, MemoMatchesDirectAndCostIsMonotoneInWindow) {
       const core::TileOrdering ordering(order, tiles_m, tiles_n);
       std::int64_t prev = 2 * tiles + 1;
       for (std::int64_t w = 1; w <= tiles; w *= 2) {
-        const std::int64_t memoized =
-            core::windowed_panel_cost(order, tiles_m, tiles_n, w);
-        EXPECT_EQ(memoized,
-                  core::panel_touch_cost(ordering, tiles_m, tiles_n, w));
+        const std::int64_t cost =
+            core::panel_touch_cost(ordering, tiles_m, tiles_n, w);
         // Doubling the window coarsens the partition: a union of two
         // windows touches at most the sum of their distinct panels.
-        EXPECT_LE(memoized, prev);
+        EXPECT_LE(cost, prev);
         // And at least one row + one column panel per window survive.
-        EXPECT_GE(memoized, 2 * ((tiles + w - 1) / w));
-        prev = memoized;
+        EXPECT_GE(cost, 2 * ((tiles + w - 1) / w));
+        prev = cost;
       }
     }
   }
@@ -466,18 +465,18 @@ TEST(PanelCost, MemoMatchesDirectAndCostIsMonotoneInWindow) {
 TEST(PanelCost, MortonBeatsRowMajorOnSquareGridsAtWaveWidth) {
   // A 16-tile window on a 16x16 grid: row-major sweeps a whole grid row
   // (1 row panel + 16 column panels), Morton covers a 4x4 block (4 + 4).
-  const std::int64_t row_major = core::windowed_panel_cost(
-      core::TileOrder::kRowMajor, 16, 16, 16);
-  const std::int64_t morton = core::windowed_panel_cost(
-      core::TileOrder::kMortonZ, 16, 16, 16);
+  const std::int64_t row_major = core::panel_touch_cost(
+      core::TileOrdering(core::TileOrder::kRowMajor, 16, 16), 16, 16, 16);
+  const std::int64_t morton = core::panel_touch_cost(
+      core::TileOrdering(core::TileOrder::kMortonZ, 16, 16), 16, 16, 16);
   EXPECT_EQ(row_major, 16 * (1 + 16));
   EXPECT_EQ(morton, 16 * (4 + 4));
   EXPECT_LT(morton, row_major);
 }
 
-TEST(PanelCost, PlanSurfacesShareableGeometryAndWindow) {
-  // The compiled plan exposes the slot-grid geometry the pool binds from,
-  // plus the cache-aware window choice; single-tile plans are unshareable.
+TEST(PanelCost, PlanSurfacesShareableGeometry) {
+  // The compiled plan exposes the slot-grid geometry the pool binds from;
+  // single-tile plans are unshareable.
   const core::GemmShape shape{192, 160, 224};
   const gpu::BlockShape block{48, 48, 16};
   const core::WorkMapping mapping(shape, block);
@@ -489,13 +488,11 @@ TEST(PanelCost, PlanSurfacesShareableGeometryAndWindow) {
   EXPECT_EQ(geo.col_panels, mapping.tiles_n());
   EXPECT_EQ(geo.panel_kc, plan.pack_geometry().panel_kc);
   EXPECT_GT(geo.chunks, 0);
-  EXPECT_GE(geo.tile_window, 1);
 
   const core::WorkMapping single({32, 32, 64}, {48, 48, 16});
   const core::DataParallel dp(single);
   const core::SchedulePlan single_plan = core::compile_plan(dp);
   EXPECT_FALSE(single_plan.panel_geometry().shareable);
-  EXPECT_EQ(single_plan.panel_geometry().tile_window, 1);
 }
 
 }  // namespace

@@ -228,14 +228,15 @@ TEST(SchedulePlan, ExecutorConsumesPlanDirectly) {
   cpu::reference_gemm<double, double, double>(a, b, expected, {32, 32, 16});
 
   cpu::Matrix<double> via_plan(shape.m, shape.n);
-  cpu::execute_plan<double, double, double>(plan, a, b, via_plan,
-                                            {.workers = 3});
+  testing::execute_matrices<double, double, double>(plan, a, b, via_plan,
+                                                    {.workers = 3});
   EXPECT_TRUE(testing::bitwise_equal(expected, via_plan));
 
   // Re-running the same compiled plan must be repeatable (workspace state is
   // rebuilt per execution).
   cpu::Matrix<double> again(shape.m, shape.n);
-  cpu::execute_plan<double, double, double>(plan, a, b, again, {.workers = 1});
+  testing::execute_matrices<double, double, double>(plan, a, b, again,
+                                                    {.workers = 1});
   EXPECT_TRUE(testing::bitwise_equal(expected, again));
 }
 
@@ -361,8 +362,9 @@ TEST(SchedulePlan, UnrunnableSchedulesFailFastAtExecution) {
   EXPECT_THROW(validate_plan(plan), util::CheckError);
 
   cpu::Matrix<double> a(64, 64), b(64, 64), c(64, 64);
-  EXPECT_THROW((cpu::execute_plan<double, double, double>(plan, a, b, c, {})),
-               util::CheckError);
+  EXPECT_THROW(
+      (testing::execute_matrices<double, double, double>(plan, a, b, c, {})),
+      util::CheckError);
 }
 
 TEST(ValidatePlan, AgreesWithDecompositionValidation) {

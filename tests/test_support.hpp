@@ -12,7 +12,9 @@
 #include "core/decomposition.hpp"
 #include "core/fixed_split.hpp"
 #include "core/hybrid.hpp"
+#include "core/schedule_plan.hpp"
 #include "core/stream_k.hpp"
+#include "cpu/executor.hpp"
 #include "cpu/matrix.hpp"
 
 namespace streamk::testing {
@@ -73,6 +75,26 @@ inline std::vector<NamedDecomposition> all_decompositions(
                        mapping, core::DecompositionKind::kHybridTwoTile, p)});
   }
   return out;
+}
+
+/// Runs one plain problem C = A.B through cpu::execute_plan.
+template <typename In, typename Acc, typename Out>
+void execute_matrices(const core::SchedulePlan& plan,
+                      const cpu::Matrix<In>& a, const cpu::Matrix<In>& b,
+                      cpu::Matrix<Out>& c,
+                      const cpu::ExecutorOptions& options = {}) {
+  const cpu::GemmProblem<In, Out> problem{a, b, c};
+  cpu::execute_plan<In, Acc, Out>(plan, {&problem, 1}, options);
+}
+
+/// Compiles `decomposition` once, then runs it as execute_matrices does.
+template <typename In, typename Acc, typename Out>
+void execute_matrices(const core::Decomposition& decomposition,
+                      const cpu::Matrix<In>& a, const cpu::Matrix<In>& b,
+                      cpu::Matrix<Out>& c,
+                      const cpu::ExecutorOptions& options = {}) {
+  execute_matrices<In, Acc, Out>(core::compile_plan(decomposition), a, b, c,
+                                 options);
 }
 
 template <typename T>

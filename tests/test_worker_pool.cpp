@@ -222,17 +222,6 @@ TEST(ParallelForPort, DescendingSingleWorkerOrderPreserved) {
   EXPECT_EQ(order, (std::vector<std::size_t>{5, 4, 3, 2, 1, 0}));
 }
 
-TEST(ParallelForPort, SpawnBackendStillWorks) {
-  util::set_parallel_backend(util::ParallelBackend::kSpawn);
-  std::vector<std::atomic<int>> hits(64);
-  util::parallel_for(
-      64, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
-  util::set_parallel_backend(util::ParallelBackend::kPool);
-  for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(hits[i].load(), 1);
-  }
-}
-
 TEST(ParallelForPort, RejectsZeroWorkers) {
   EXPECT_THROW(util::parallel_for(4, [](std::size_t) {}, 0),
                util::CheckError);
