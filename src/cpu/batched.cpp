@@ -1,6 +1,5 @@
 #include "cpu/batched.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "cpu/reference.hpp"
@@ -32,13 +31,6 @@ GemmReport batched_gemm_job(std::span<const Matrix<In>> as,
   util::check(!as.empty(), "empty batch");
   util::check(as.size() == bs.size() && as.size() == cs.size(),
               "batch operand count mismatch");
-  util::check(std::none_of(options.epilogue.ops.begin(),
-                           options.epilogue.ops.end(),
-                           [](const epilogue::EpilogueOp& op) {
-                             return op.kind == epilogue::OpKind::kResidual;
-                           }),
-              "batched GEMM does not support the residual epilogue op "
-              "(one D matrix cannot address every batch entry)");
   BatchedShape batched;
   batched.batch = static_cast<std::int64_t>(as.size());
   batched.shape = product_shape(as[0], bs[0], cs[0]);
@@ -71,6 +63,12 @@ GemmReport batched_gemm_job(std::span<const Matrix<In>> as,
         return runtime::grouped_plan(group, planner.block(), spec);
       },
       [&](const core::SchedulePlan& plan, const ExecutorOptions& exec) {
+        // The executor rejects a shared residual over two or more problems;
+        // batched rejects it for a batch of one too, so the rule does not
+        // depend on the batch size.
+        util::check(!plan.epilogue_plan(exec.epilogue)->needs_residual(),
+                    "batched GEMM does not support the residual epilogue op "
+                    "(one D matrix cannot address every batch entry)");
         execute_plan<In, Acc, Out>(plan, problems, exec);
       });
 }

@@ -67,9 +67,8 @@ void run_decomposed(const core::SchedulePlan& plan, std::int64_t tile_elements,
     const std::span<const core::TileSegment> segments = plan.cta_segments(cta);
     if (segments.empty()) return;
 
-    runtime::CtaBuffers<Acc> fresh;  // used only when pooling is disabled
     runtime::CtaBuffers<Acc>& buffers = runtime::local_cta_buffers<Acc>(
-        fresh, plan.block(), tile_elements, panel_kc);
+        plan.block(), tile_elements, panel_kc);
     std::vector<Acc>& accum = buffers.accum;
     MacScratch<Acc>& scratch = buffers.scratch;
 

@@ -20,7 +20,6 @@
 //
 // Both layers are per accumulator type (double / float instantiation).
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -34,21 +33,6 @@
 #include "cpu/workspace.hpp"
 
 namespace streamk::runtime {
-
-/// Pooling kill switch: when disabled, acquire() always allocates and
-/// releases always free -- the pre-runtime allocate-per-call behaviour.
-/// Exists for A/B measurement (bench_runtime_throughput.cpp) and as a
-/// diagnostic escape hatch; defaults to enabled.
-inline std::atomic<bool>& workspace_pooling_flag() {
-  static std::atomic<bool> enabled{true};
-  return enabled;
-}
-inline void set_workspace_pooling(bool enabled) {
-  workspace_pooling_flag().store(enabled, std::memory_order_relaxed);
-}
-inline bool workspace_pooling() {
-  return workspace_pooling_flag().load(std::memory_order_relaxed);
-}
 
 template <typename Acc>
 class WorkspacePool {
@@ -90,7 +74,7 @@ class WorkspacePool {
   /// a pooled object's buffers when one is free.
   Lease acquire(const core::SchedulePlan& plan, std::int64_t tile_elements) {
     std::unique_ptr<cpu::FixupWorkspace<Acc>> workspace;
-    if (workspace_pooling()) {
+    {
       std::lock_guard lock(mutex_);
       if (!free_.empty()) {
         workspace = std::move(free_.back());
@@ -109,7 +93,6 @@ class WorkspacePool {
 
  private:
   void release(std::unique_ptr<cpu::FixupWorkspace<Acc>> workspace) {
-    if (!workspace_pooling()) return;  // drop: allocate-per-call mode
     std::lock_guard lock(mutex_);
     if (free_.size() < kMaxPooled) free_.push_back(std::move(workspace));
     // else: drop -- the list bounds resident memory under burst concurrency.
@@ -185,7 +168,7 @@ class PanelCachePool {
     }
 
     std::unique_ptr<cpu::PanelCache<Acc>> cache;
-    if (workspace_pooling()) {
+    {
       std::lock_guard lock(mutex_);
       if (!free_.empty()) {
         cache = std::move(free_.back());
@@ -207,7 +190,6 @@ class PanelCachePool {
 
  private:
   void release(std::unique_ptr<cpu::PanelCache<Acc>> cache) {
-    if (!workspace_pooling()) return;  // drop: allocate-per-call mode
     std::lock_guard lock(mutex_);
     if (free_.size() < kMaxPooled) free_.push_back(std::move(cache));
   }
@@ -230,19 +212,15 @@ struct CtaBuffers {
 /// The calling thread's CtaBuffers, resized for (block, tile_elements) with
 /// packed-panel chunks `panel_kc` deep (0 = one MAC-loop iteration).
 /// Resizing is a no-op when the previous use had the same shape, which is
-/// the steady state on persistent pool workers.  With pooling disabled,
-/// `fallback` (a fresh per-CTA instance) is sized and returned instead --
-/// the pre-runtime allocate-per-CTA behaviour.
+/// the steady state on persistent pool workers.
 template <typename Acc>
-CtaBuffers<Acc>& local_cta_buffers(CtaBuffers<Acc>& fallback,
-                                   const gpu::BlockShape& block,
+CtaBuffers<Acc>& local_cta_buffers(const gpu::BlockShape& block,
                                    std::int64_t tile_elements,
                                    std::int64_t panel_kc = 0) {
   thread_local CtaBuffers<Acc> buffers;
-  CtaBuffers<Acc>& chosen = workspace_pooling() ? buffers : fallback;
-  chosen.accum.resize(static_cast<std::size_t>(tile_elements));
-  chosen.scratch.resize(block, panel_kc);
-  return chosen;
+  buffers.accum.resize(static_cast<std::size_t>(tile_elements));
+  buffers.scratch.resize(block, panel_kc);
+  return buffers;
 }
 
 }  // namespace streamk::runtime
