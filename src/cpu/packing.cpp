@@ -101,8 +101,9 @@ void pack_a(const OperandView<const In>& a, std::int64_t row0,
             std::int64_t em, std::int64_t col0, std::int64_t kc, Acc* dst) {
   // The contiguous-row packer pays only when it converts (Half rows widen
   // 8 lanes at a time).  Without a conversion the accessor walk is faster
-  // inside a running GEMM: measured 4-8% end to end on fp64 m x 40..52 x k
-  // shapes, 1 worker.
+  // inside a running GEMM: taking the row packer for same-type A made
+  // cpu::gemm 5-16% slower (fp64) and 6-10% slower (fp32) on m x 40..52 x k
+  // shapes, 1 worker, 4-vCPU x86-64 AVX2 host.
   if constexpr (!std::is_same_v<In, Acc>) {
     if (a.col_stride() == 1) {
       pack_a_rows(a.ptr(row0, col0), a.row_stride(), em, kc, dst);
