@@ -7,7 +7,6 @@
 #include "core/schedule_plan.hpp"
 #include "core/stream_k.hpp"
 #include "cpu/executor.hpp"
-#include "util/threading.hpp"
 
 namespace streamk::cpu {
 
@@ -29,18 +28,21 @@ CalibrationResult calibrate_cpu(const core::GemmShape& shape,
   fill_random(a, rng);
   fill_random(b, rng);
 
-  const std::size_t workers =
-      options.workers > 0 ? options.workers : util::default_workers();
-
+  // One worker (see the header): its descending-id claim order is the
+  // serial schedule in which every fixup signal precedes its wait, so a
+  // rep's wall time is the sum of its g CTA runtimes.
   const GemmProblem<double, double> problem{a, b, c};
   ExecutorOptions exec_options;
-  exec_options.workers = workers;
+  exec_options.workers = 1;
 
   CalibrationResult result;
   for (const std::int64_t g : grids) {
     // Compiled once per grid, outside the timed region.
     const core::SchedulePlan plan =
         core::compile_plan(core::StreamKBasic(mapping, g));
+    // Untimed warm-up: first-use workspace and panel-arena leases and
+    // per-thread CTA buffers for this plan are paid here.
+    execute_plan<double, double, double>(plan, {&problem, 1}, exec_options);
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < std::max(1, options.repetitions); ++rep) {
       const auto start = std::chrono::steady_clock::now();
@@ -49,7 +51,8 @@ CalibrationResult calibrate_cpu(const core::GemmShape& shape,
       best = std::min(best,
                       std::chrono::duration<double>(stop - start).count());
     }
-    result.samples.push_back(model::FitSample{g, best});
+    result.samples.push_back(
+        model::FitSample{g, best / static_cast<double>(g)});
   }
 
   result.params = model::fit_cost_params(mapping, result.samples);

@@ -5,9 +5,9 @@
 // "Parameters to the model are trivially chosen with empirical measurements
 // and need only be done once per target architecture."  (Section 5.1)
 //
-// Given measured (grid size, runtime) samples of basic Stream-K executions
-// on one problem shape, the CTA time model is linear in {a, b, c, d} with
-// regressors
+// Given measured (grid size, per-CTA runtime) samples of basic Stream-K
+// executions on one problem shape, the CTA time model is linear in
+// {a, b, c, d} with regressors
 //
 //     x(g) = [ 1,  FixupPeers(g) > 1,  ItersPerCta(g),  FixupPeers(g) - 1 ]
 //
@@ -27,7 +27,7 @@ namespace streamk::model {
 
 struct FitSample {
   std::int64_t grid = 0;
-  double seconds = 0.0;
+  double seconds = 0.0;  ///< runtime of one CTA at this grid size
 };
 
 /// Solves A x = y for a dense square system with partial-pivoting Gaussian
