@@ -38,12 +38,6 @@ class Tensor4 {
     return data_[index(i, j, k, l)];
   }
 
-  /// Unchecked pointer to the innermost run at (i, j, k, 0).
-  const T* inner_ptr(std::int64_t i, std::int64_t j, std::int64_t k) const {
-    return data_.data() +
-           static_cast<std::size_t>(((i * d1_ + j) * d2_ + k) * d3_);
-  }
-
   std::span<T> data() { return data_; }
   std::span<const T> data() const { return data_; }
 

@@ -2,15 +2,15 @@
 
 // Generic plan-driven execution skeleton.
 //
-// The single CTA loop behind both executors -- cpu::execute_plan (plain,
-// BLAS-view, batched and grouped GEMM over strided operand views) and
-// conv::execute_conv_plan (implicit-GEMM convolution): claim CTAs in
-// descending id order, run each segment's MAC functor into a local
-// accumulator, and apply the Stream-K fixup protocol -- spill + signal for
-// non-starting segments, await + serial reduce + store for owners.  Work
-// streams and fixup peers come from a compiled core::SchedulePlan, so the
-// hot loop touches only flat arrays: no virtual calls, no per-CTA vector
-// materialization.  The caller supplies two functors:
+// The single CTA loop behind cpu::execute_plan, the one executor of every
+// front end (plain, BLAS-view, batched and grouped GEMM and implicit-GEMM
+// convolution): claim CTAs in descending id order, run each segment's MAC
+// functor into a local accumulator, and apply the Stream-K fixup protocol
+// -- spill + signal for non-starting segments, await + serial reduce +
+// store for owners.  Work streams and fixup peers come from a compiled
+// core::SchedulePlan, so the hot loop touches only flat arrays: no virtual
+// calls, no per-CTA vector materialization.  The caller supplies two
+// functors:
 //
 //     mac(segment, accum, scratch, cache)  -- accumulate the segment's
 //                                             iterations (cache may be null:
@@ -22,7 +22,7 @@
 // signal/wait is release/acquire); see DESIGN.md.
 //
 // Allocation behaviour: the fixup workspace is leased from
-// runtime::WorkspacePool and the per-CTA accumulator/fragment scratch comes
+// runtime::WorkspacePool and the per-CTA accumulator/packing scratch comes
 // from the claiming thread's runtime::local_cta_buffers, so steady-state
 // traffic over one plan shape executes with no per-call or per-CTA heap
 // allocation.  Parallelism comes from util::parallel_for_descending, which
@@ -42,20 +42,16 @@
 
 namespace streamk::cpu {
 
-/// `cache_config` overrides the plan's panel-cache slot grid for the one
-/// executor whose chunks are not the plan's pack chunks (convolution packs
-/// per MAC-loop iteration); nullptr takes the plan geometry.
 template <typename Acc, typename MacFn, typename StoreFn>
 void run_decomposed(const core::SchedulePlan& plan, std::int64_t tile_elements,
                     MacFn&& mac, StoreFn&& store,
-                    const ExecutorOptions& options,
-                    const PanelCacheConfig* cache_config = nullptr) {
+                    const ExecutorOptions& options) {
   plan.check_runnable();
   auto lease =
       runtime::WorkspacePool<Acc>::instance().acquire(plan, tile_elements);
   FixupWorkspace<Acc>& workspace = lease.workspace();
   auto cache_lease = runtime::PanelCachePool<Acc>::instance().acquire(
-      plan, options.panel_cache, cache_config);
+      plan, options.panel_cache);
   PanelCache<Acc>* cache = cache_lease.cache();
   const std::size_t workers =
       options.workers > 0 ? options.workers : util::default_workers();

@@ -32,16 +32,25 @@ void add_extent(std::vector<Extent>& out, const OperandView<T>& v,
       write});
 }
 
+/// An im2col view reads its whole NHWC input tensor.
+template <typename T>
+void add_extent(std::vector<Extent>& out, const Im2colView<T>& v,
+                bool write) {
+  const auto begin = reinterpret_cast<std::uintptr_t>(v.data());
+  out.push_back(Extent{
+      begin, begin + static_cast<std::uintptr_t>(v.extent_bytes()), write});
+}
+
 /// Rejects a C that overlaps any A, B or other C of the call: tiles read
 /// A and B while other tiles already store C, so an aliased output is
 /// silently wrong.  One sweep over the extents sorted by start address: a
 /// range overlaps an earlier one exactly when it starts before the
 /// furthest end seen so far.
-template <typename In, typename Out>
-void check_no_aliasing(std::span<const GemmProblem<In, Out>> problems) {
+template <typename In, typename Out, typename AView>
+void check_no_aliasing(std::span<const GemmProblem<In, Out, AView>> problems) {
   std::vector<Extent> extents;
   extents.reserve(problems.size() * 3);
-  for (const GemmProblem<In, Out>& p : problems) {
+  for (const GemmProblem<In, Out, AView>& p : problems) {
     add_extent(extents, p.a, false);
     add_extent(extents, p.b, false);
     add_extent(extents, p.c, true);
@@ -60,9 +69,11 @@ void check_no_aliasing(std::span<const GemmProblem<In, Out>> problems) {
 
 }  // namespace
 
-template <typename In, typename Acc, typename Out>
+template <typename In, typename Acc, typename Out, typename AView>
 void execute_plan(const core::SchedulePlan& plan,
-                  std::span<const GemmProblem<In, Out>> problems,
+                  std::span<const GemmProblem<In, Out,
+                                              std::type_identity_t<AView>>>
+                      problems,
                   const ExecutorOptions& options,
                   std::span<const epilogue::EpilogueSpec> problem_epilogues) {
   const core::GroupedMapping* group = plan.group();
@@ -72,7 +83,7 @@ void execute_plan(const core::SchedulePlan& plan,
   util::check(problem_epilogues.empty() || problem_epilogues.size() == count,
               "problem_epilogues must be empty or one spec per problem");
   for (std::size_t p = 0; p < count; ++p) {
-    const GemmProblem<In, Out>& prob = problems[p];
+    const GemmProblem<In, Out, AView>& prob = problems[p];
     const core::GemmShape expected =
         group != nullptr ? group->problem(p).shape : plan.mapping().shape();
     util::check(prob.a.rows() == expected.m && prob.a.cols() == expected.k &&
@@ -106,7 +117,7 @@ void execute_plan(const core::SchedulePlan& plan,
     return problem_epilogues.empty() ? options.epilogue : problem_epilogues[p];
   };
   for (std::size_t p = 0; p < count; ++p) {
-    const GemmProblem<In, Out>& prob = problems[p];
+    const GemmProblem<In, Out, AView>& prob = problems[p];
     epilogue::check_bindings(*eplan, spec_of(p),
                              prob.epilogue_row0 + prob.c.rows(),
                              prob.c.cols(), epilogue::tensor_type_of<Out>());
@@ -118,13 +129,13 @@ void execute_plan(const core::SchedulePlan& plan,
       [&](const core::TileSegment& seg, std::span<Acc> accum,
           MacScratch<Acc>& scratch, PanelCache<Acc>* cache) {
         const core::TileRef tile = plan.tile_ref(seg.tile_idx);
-        const GemmProblem<In, Out>& prob = problems[tile.problem];
-        mac_segment<In, Acc>(plan, tile, prob.a, prob.b, seg, accum, scratch,
-                             cache);
+        const GemmProblem<In, Out, AView>& prob = problems[tile.problem];
+        mac_segment<In, Acc, AView>(plan, tile, prob.a, prob.b, seg, accum,
+                                    scratch, cache);
       },
       [&](std::int64_t tile_idx, std::span<const Acc> accum) {
         const core::TileRef tile = plan.tile_ref(tile_idx);
-        const GemmProblem<In, Out>& prob = problems[tile.problem];
+        const GemmProblem<In, Out, AView>& prob = problems[tile.problem];
         const std::int64_t mm = tile.tm * blk.m;
         const std::int64_t nn = tile.tn * blk.n;
         epilogue::apply_tile<Acc, Out>(
@@ -146,5 +157,13 @@ template void execute_plan<util::Half, float, float>(
     const core::SchedulePlan&,
     std::span<const GemmProblem<util::Half, float>>, const ExecutorOptions&,
     std::span<const epilogue::EpilogueSpec>);
+template void execute_plan<double, double, double, Im2colView<const double>>(
+    const core::SchedulePlan&,
+    std::span<const GemmProblem<double, double, Im2colView<const double>>>,
+    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
+template void execute_plan<float, float, float, Im2colView<const float>>(
+    const core::SchedulePlan&,
+    std::span<const GemmProblem<float, float, Im2colView<const float>>>,
+    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
 
 }  // namespace streamk::cpu

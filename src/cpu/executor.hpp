@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <span>
+#include <type_traits>
 
 #include "core/decomposition.hpp"
 #include "cpu/matrix.hpp"
@@ -57,13 +58,15 @@ struct ExecutorOptions {
 };
 
 /// One GEMM of an execution: C = alpha * op(A) . op(B) + beta * C over
-/// strided views (A m x k, B k x n, C m x n with unit column stride).
-/// `epilogue_row0` offsets this problem's rows in the row-indexed epilogue
-/// bindings (bias_row, row reductions): a batch shares one spec over its
-/// stacked rows, entry i starting at row i * m.
-template <typename In, typename Out>
+/// views (A m x k, B k x n, C m x n with unit column stride).  A is a
+/// strided OperandView by default; convolution's A is the Im2colView of its
+/// NHWC input (conv::conv_problem).  `epilogue_row0` offsets this problem's
+/// rows in the row-indexed epilogue bindings (bias_row, row reductions): a
+/// batch shares one spec over its stacked rows, entry i starting at row
+/// i * m.
+template <typename In, typename Out, typename AView = OperandView<const In>>
 struct GemmProblem {
-  OperandView<const In> a;
+  AView a;
   OperandView<const In> b;
   OperandView<Out> c;
   std::int64_t epilogue_row0 = 0;
@@ -72,16 +75,20 @@ struct GemmProblem {
 /// Executes a compiled plan over `problems`: one problem for a plan
 /// compiled from a WorkMapping, one per group member (in group order) for a
 /// plan compiled from a GroupedMapping.  Plain GEMM, BLAS views, batched and
-/// grouped GEMM all run here.  `problem_epilogues` is empty (options.epilogue
-/// serves every problem) or one spec per problem; all specs must share one
-/// op-chain class.  Rejects operands that do not conform to the plan, a C
-/// that overlaps any A, B or other C of the call, and a shared residual
-/// spec over several problems (one D matrix cannot address them all).
-/// Reusing one plan across calls amortizes schedule compilation entirely.
-template <typename In, typename Acc, typename Out>
+/// grouped GEMM and convolution all run here.  `problem_epilogues` is empty
+/// (options.epilogue serves every problem) or one spec per problem; all
+/// specs must share one op-chain class.  Rejects operands that do not
+/// conform to the plan, a C that overlaps any A, B or other C of the call,
+/// and a shared residual spec over several problems (one D matrix cannot
+/// address them all).  Reusing one plan across calls amortizes schedule
+/// compilation entirely.  `AView` is named, never deduced, so a vector of
+/// problems converts to the span.
+template <typename In, typename Acc, typename Out,
+          typename AView = OperandView<const In>>
 void execute_plan(
     const core::SchedulePlan& plan,
-    std::span<const GemmProblem<In, Out>> problems,
+    std::span<const GemmProblem<In, Out, std::type_identity_t<AView>>>
+        problems,
     const ExecutorOptions& options = {},
     std::span<const epilogue::EpilogueSpec> problem_epilogues = {});
 
@@ -95,5 +102,15 @@ extern template void execute_plan<util::Half, float, float>(
     const core::SchedulePlan&,
     std::span<const GemmProblem<util::Half, float>>, const ExecutorOptions&,
     std::span<const epilogue::EpilogueSpec>);
+extern template void execute_plan<double, double, double,
+                                  Im2colView<const double>>(
+    const core::SchedulePlan&,
+    std::span<const GemmProblem<double, double, Im2colView<const double>>>,
+    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
+extern template void execute_plan<float, float, float,
+                                  Im2colView<const float>>(
+    const core::SchedulePlan&,
+    std::span<const GemmProblem<float, float, Im2colView<const float>>>,
+    const ExecutorOptions&, std::span<const epilogue::EpilogueSpec>);
 
 }  // namespace streamk::cpu

@@ -6,12 +6,12 @@
 
 namespace streamk::cpu {
 
-template <typename In, typename Acc>
+template <typename In, typename Acc, typename AView>
 void mac_segment(const core::SchedulePlan& plan, const core::TileRef& tile,
-                 const OperandView<const In>& a,
-                 const OperandView<const In>& b, const core::TileSegment& seg,
-                 std::span<Acc> accum, MacScratch<Acc>& scratch,
-                 PanelCache<Acc>* cache) {
+                 const std::type_identity_t<AView>& a,
+                 const OperandView<const In>& b,
+                 const core::TileSegment& seg, std::span<Acc> accum,
+                 MacScratch<Acc>& scratch, PanelCache<Acc>* cache) {
   const gpu::BlockShape& blk = plan.block();
   util::check(accum.size() ==
                   static_cast<std::size_t>(blk.tile_elements()),
@@ -60,6 +60,16 @@ template void mac_segment<float, float>(
 template void mac_segment<util::Half, float>(
     const core::SchedulePlan&, const core::TileRef&,
     const OperandView<const util::Half>&, const OperandView<const util::Half>&,
+    const core::TileSegment&, std::span<float>, MacScratch<float>&,
+    PanelCache<float>*);
+template void mac_segment<double, double, Im2colView<const double>>(
+    const core::SchedulePlan&, const core::TileRef&,
+    const Im2colView<const double>&, const OperandView<const double>&,
+    const core::TileSegment&, std::span<double>, MacScratch<double>&,
+    PanelCache<double>*);
+template void mac_segment<float, float, Im2colView<const float>>(
+    const core::SchedulePlan&, const core::TileRef&,
+    const Im2colView<const float>&, const OperandView<const float>&,
     const core::TileSegment&, std::span<float>, MacScratch<float>&,
     PanelCache<float>*);
 

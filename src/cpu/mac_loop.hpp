@@ -12,6 +12,7 @@
 // block volume.
 
 #include <span>
+#include <type_traits>
 
 #include "core/schedule_plan.hpp"
 #include "cpu/matrix.hpp"
@@ -24,16 +25,9 @@ namespace streamk::cpu {
 /// and packed-chunk depth; reused across segments to avoid per-segment
 /// allocation, and resizable so runtime::local_cta_buffers can recycle them
 /// across submissions (resize to an already-held shape allocates nothing).
-///
-/// `frag_a`/`frag_b` are row-major gather staging for implicit-GEMM
-/// convolution, whose operands need per-element address math; they are
-/// sized lazily via ensure_frags() so the GEMM-family path -- which packs
-/// straight from the operand views -- never carries them.
 template <typename Acc>
 struct MacScratch {
-  std::vector<Acc> frag_a;  ///< BLK_M x BLK_K gather staging (conv)
-  std::vector<Acc> frag_b;  ///< BLK_K x BLK_N gather staging (conv)
-  PackBuffers<Acc> packs;   ///< microkernel panels, panel_kc deep
+  PackBuffers<Acc> packs;  ///< microkernel panels, panel_kc deep
 
   MacScratch() = default;
   explicit MacScratch(const gpu::BlockShape& block) { resize(block); }
@@ -49,12 +43,6 @@ struct MacScratch {
     packs.resize(block, std::max(panel_kc_, block.k));
   }
 
-  /// Sizes the gather staging (no-op once held at this shape).
-  void ensure_frags(const gpu::BlockShape& block) {
-    frag_a.resize(static_cast<std::size_t>(block.m * block.k));
-    frag_b.resize(static_cast<std::size_t>(block.k * block.n));
-  }
-
   /// The k depth one packed chunk holds (>= BLK_K).
   std::int64_t panel_kc() const { return panel_kc_; }
 
@@ -67,18 +55,19 @@ struct MacScratch {
 /// `a` (m x k) and `b` (k x n) into `accum` (BLK_M x BLK_N, row-major).  The
 /// caller zero-initializes `accum` before the first segment of a tile; only
 /// the valid em x en corner is written, so the padding region of an edge
-/// tile stays zero.  Every GEMM-family front end (plain, BLAS views,
-/// batched, grouped) runs through this one routine; operands are packed by
-/// pack_a / pack_b, which pick the packer from the views' strides.  With a
-/// non-null `cache`, chunk panels aligned to the shared arena's grid are
-/// packed once per GEMM instead of once per tile (see cpu/panel_cache.hpp),
-/// keyed by plan.panel_keys(tile); a null cache packs privately.
-template <typename In, typename Acc>
+/// tile stays zero.  Every front end (plain, BLAS views, batched, grouped,
+/// convolution) runs through this one routine; `AView` (named, never
+/// deduced) is the A operand's kind -- a strided OperandView, or
+/// convolution's Im2colView -- and pack_a / pack_b pick the packer from the
+/// views.  With a non-null `cache`, chunk panels aligned to the shared arena's grid are packed once
+/// per GEMM instead of once per tile (see cpu/panel_cache.hpp), keyed by
+/// plan.panel_keys(tile); a null cache packs privately.
+template <typename In, typename Acc, typename AView = OperandView<const In>>
 void mac_segment(const core::SchedulePlan& plan, const core::TileRef& tile,
-                 const OperandView<const In>& a,
-                 const OperandView<const In>& b, const core::TileSegment& seg,
-                 std::span<Acc> accum, MacScratch<Acc>& scratch,
-                 PanelCache<Acc>* cache = nullptr);
+                 const std::type_identity_t<AView>& a,
+                 const OperandView<const In>& b,
+                 const core::TileSegment& seg, std::span<Acc> accum,
+                 MacScratch<Acc>& scratch, PanelCache<Acc>* cache = nullptr);
 
 extern template void mac_segment<double, double>(
     const core::SchedulePlan&, const core::TileRef&,
@@ -93,6 +82,16 @@ extern template void mac_segment<float, float>(
 extern template void mac_segment<util::Half, float>(
     const core::SchedulePlan&, const core::TileRef&,
     const OperandView<const util::Half>&, const OperandView<const util::Half>&,
+    const core::TileSegment&, std::span<float>, MacScratch<float>&,
+    PanelCache<float>*);
+extern template void mac_segment<double, double, Im2colView<const double>>(
+    const core::SchedulePlan&, const core::TileRef&,
+    const Im2colView<const double>&, const OperandView<const double>&,
+    const core::TileSegment&, std::span<double>, MacScratch<double>&,
+    PanelCache<double>*);
+extern template void mac_segment<float, float, Im2colView<const float>>(
+    const core::SchedulePlan&, const core::TileRef&,
+    const Im2colView<const float>&, const OperandView<const float>&,
     const core::TileSegment&, std::span<float>, MacScratch<float>&,
     PanelCache<float>*);
 

@@ -1,7 +1,8 @@
 #pragma once
 
-// Dense row-major matrix container for the CPU execution path, and the
-// strided operand view every GEMM-family front end executes through.
+// Dense row-major matrix container for the CPU execution path, the strided
+// operand view every GEMM-family front end executes through, and the
+// implicit-im2col view convolution's A operand is.
 //
 // Deliberately minimal: owning storage, bounds-checked accessors in terms of
 // (row, col), and deterministic fill helpers.  GEMM kernels access raw spans
@@ -12,6 +13,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "conv/conv_shape.hpp"
 #include "util/check.hpp"
 #include "util/half.hpp"
 #include "util/rng.hpp"
@@ -119,6 +121,34 @@ class OperandView {
   std::int64_t cols_ = 0;
   std::int64_t row_stride_ = 0;
   std::int64_t col_stride_ = 1;
+};
+
+/// Non-owning implicit-im2col view of an NHWC activation tensor: the
+/// (N*P*Q) x (R*S*C) A operand of convolution's implicit GEMM.  Row m is
+/// output pixel (n, p, q) with q fastest (conv::output_pixel), column k is
+/// filter tap (r, s, c) with c fastest (conv::filter_offset), and element
+/// (m, k) is In[n, p*stride - pad + r, q*stride - pad + s, c], or zero where
+/// the tap falls in the padding.  The matrix is never materialized: pack_a
+/// gathers its patches straight into microkernel panels.
+template <typename T>
+class Im2colView {
+ public:
+  Im2colView(T* data, const conv::ConvShape& conv)
+      : data_(data), conv_(conv) {}
+
+  T* data() const { return data_; }
+  const conv::ConvShape& conv() const { return conv_; }
+  std::int64_t rows() const { return conv_.gemm_shape().m; }
+  std::int64_t cols() const { return conv_.gemm_shape().k; }
+  /// Bytes of the NHWC input tensor the view reads.
+  std::int64_t extent_bytes() const {
+    return conv_.batch * conv_.height * conv_.width * conv_.in_channels *
+           static_cast<std::int64_t>(sizeof(T));
+  }
+
+ private:
+  T* data_ = nullptr;
+  conv::ConvShape conv_;
 };
 
 namespace detail {

@@ -1,5 +1,6 @@
 #include "cpu/packing.hpp"
 
+#include <algorithm>
 #include <type_traits>
 
 #if defined(__F16C__)
@@ -119,6 +120,69 @@ void pack_a(const OperandView<const In>& a, std::int64_t row0,
 }
 
 template <typename In, typename Acc>
+void pack_a(const Im2colView<const In>& a, std::int64_t row0, std::int64_t em,
+            std::int64_t col0, std::int64_t kc, Acc* dst) {
+  constexpr std::int64_t kMr = MicroTile<Acc>::kMr;
+  const conv::ConvShape& conv = a.conv();
+  const std::int64_t channels = conv.in_channels;
+  const std::int64_t pixel_elems = conv.width * channels;
+  const std::int64_t image_elems = conv.height * pixel_elems;
+  const std::int64_t out_h = conv.out_h();
+  const std::int64_t out_w = conv.out_w();
+  // Every row walks the same taps: decode the first one once per pack.
+  const std::int64_t c0 = col0 % channels;
+  const std::int64_t s0 = col0 / channels % conv.filter_w;
+  const std::int64_t r0 = col0 / channels / conv.filter_w;
+  // Output pixel of row0; later rows step (n, p, q) without dividing.
+  std::int64_t q = row0 % out_w;
+  std::int64_t p = row0 / out_w % out_h;
+  std::int64_t n = row0 / out_w / out_h;
+  for (std::int64_t i = 0; i < em; ++i) {
+    Acc* lane = dst + i / kMr * kMr * kc + i % kMr;
+    const In* image = a.data() + n * image_elems;
+    const std::int64_t h0 = p * conv.stride - conv.pad;
+    const std::int64_t w0 = q * conv.stride - conv.pad;
+    std::int64_t r = r0;
+    std::int64_t s = s0;
+    std::int64_t c = c0;
+    for (std::int64_t k = 0; k < kc;) {
+      // One tap's run of channels is contiguous in NHWC (or all padding).
+      const std::int64_t run = std::min(channels - c, kc - k);
+      const std::int64_t h = h0 + r;
+      const std::int64_t w = w0 + s;
+      if (h >= 0 && h < conv.height && w >= 0 && w < conv.width) {
+        const In* src = image + h * pixel_elems + w * channels + c;
+        for (std::int64_t j = 0; j < run; ++j) {
+          lane[(k + j) * kMr] = static_cast<Acc>(src[j]);
+        }
+      } else {
+        for (std::int64_t j = 0; j < run; ++j) lane[(k + j) * kMr] = Acc{};
+      }
+      k += run;
+      c = 0;
+      if (++s == conv.filter_w) {
+        s = 0;
+        ++r;
+      }
+    }
+    if (++q == out_w) {
+      q = 0;
+      if (++p == out_h) {
+        p = 0;
+        ++n;
+      }
+    }
+  }
+  // Only the final panel of an MR-ragged em has tail lanes to zero.
+  const std::int64_t mr = em % kMr;
+  if (mr == 0) return;
+  Acc* panel = dst + em / kMr * kMr * kc;
+  for (std::int64_t k = 0; k < kc; ++k) {
+    for (std::int64_t i = mr; i < kMr; ++i) panel[k * kMr + i] = Acc{};
+  }
+}
+
+template <typename In, typename Acc>
 void pack_b(const OperandView<const In>& b, std::int64_t row0,
             std::int64_t kc, std::int64_t col0, std::int64_t en, Acc* dst) {
   if (b.col_stride() == 1) {
@@ -142,6 +206,13 @@ template void pack_a<float, float>(const OperandView<const float>&,
 template void pack_a<util::Half, float>(const OperandView<const util::Half>&,
                                         std::int64_t, std::int64_t,
                                         std::int64_t, std::int64_t, float*);
+
+template void pack_a<double, double>(const Im2colView<const double>&,
+                                     std::int64_t, std::int64_t, std::int64_t,
+                                     std::int64_t, double*);
+template void pack_a<float, float>(const Im2colView<const float>&,
+                                   std::int64_t, std::int64_t, std::int64_t,
+                                   std::int64_t, float*);
 
 template void pack_b<double, double>(const OperandView<const double>&,
                                      std::int64_t, std::int64_t, std::int64_t,

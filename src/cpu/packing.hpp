@@ -152,6 +152,15 @@ template <typename In, typename Acc>
 void pack_a(const OperandView<const In>& a, std::int64_t row0,
             std::int64_t em, std::int64_t col0, std::int64_t kc, Acc* dst);
 
+/// Packs rows [row0, row0 + em) columns [col0, col0 + kc) of the implicit
+/// im2col matrix into MR-row panels, gathering straight from the NHWC
+/// input: each row decodes its output pixel once and walks the taps
+/// (r, s, c) incrementally, copying runs of contiguous channels and writing
+/// padding taps as zero.
+template <typename In, typename Acc>
+void pack_a(const Im2colView<const In>& a, std::int64_t row0, std::int64_t em,
+            std::int64_t col0, std::int64_t kc, Acc* dst);
+
 /// Packs rows [row0, row0 + kc) columns [col0, col0 + en) of `b` into
 /// NR-column panels: the contiguous-row path (a unit-stride sweep, F16C for
 /// Half) when the view's column stride is 1, the accessor walk otherwise.
@@ -181,6 +190,14 @@ extern template void pack_a<float, float>(const OperandView<const float>&,
 extern template void pack_a<util::Half, float>(
     const OperandView<const util::Half>&, std::int64_t, std::int64_t,
     std::int64_t, std::int64_t, float*);
+
+extern template void pack_a<double, double>(const Im2colView<const double>&,
+                                            std::int64_t, std::int64_t,
+                                            std::int64_t, std::int64_t,
+                                            double*);
+extern template void pack_a<float, float>(const Im2colView<const float>&,
+                                          std::int64_t, std::int64_t,
+                                          std::int64_t, std::int64_t, float*);
 
 extern template void pack_b<double, double>(const OperandView<const double>&,
                                             std::int64_t, std::int64_t,

@@ -96,9 +96,8 @@ class PackProbe {
 
 /// Slot-grid geometry of one arena: `row_panels` A panels and `col_panels`
 /// B panels, each cut into `chunks` k-chunks of `chunk_depth` accumulator
-/// elements (the plan's pack panel_kc).  The GEMM-family executor takes it
-/// from core::SchedulePlan::panel_geometry(); convolution, which packs per
-/// MAC-loop iteration, supplies its own chunking.
+/// elements (the plan's pack panel_kc).  runtime::PanelCachePool takes it
+/// from core::SchedulePlan::panel_geometry() for every front end.
 struct PanelCacheConfig {
   std::int64_t row_panels = 0;
   std::int64_t col_panels = 0;
@@ -271,7 +270,7 @@ class PanelCache {
   bool bound_ = false;
 };
 
-/// The shared chunk walk of every GEMM-family substrate: packs and
+/// The shared chunk walk of every front end: packs and
 /// multiplies the segment k-range [k_begin, k_end) (already clamped to
 /// `k_total`) in panel_kc-deep chunks, serving each chunk's A/B panels from
 /// `cache` when possible and from `packs` otherwise.  A chunk is cacheable

@@ -37,8 +37,6 @@ struct CalibrationResult {
 struct CalibrationOptions {
   std::vector<std::int64_t> grids;  ///< grid sizes to time (empty = default)
   int repetitions = 3;              ///< best-of timing repetitions
-  /// Not read: samples are always timed on one worker (see above).
-  std::size_t workers = 0;
 };
 
 /// Runs the calibration GEMM (FP64) and fits the cost constants.

@@ -11,10 +11,9 @@
 // the useful flops, and the executor to run.  run_front_end() owns the rest
 // -- tuned dispatch, blocking and worker resolution, schedule resolution,
 // the kGemm trace span and gemm.calls counter, timing, and the GemmReport --
-// so every front end is observed and reported the same way.  The four
-// GEMM-family front ends then execute through one cpu::execute_plan over
-// strided operand views; convolution keeps its own executor (its A operand
-// is an implicit im2col gather).
+// so every front end is observed and reported the same way.  All five
+// then execute through one cpu::execute_plan: the GEMM family over strided
+// operand views, convolution over the implicit im2col view of its input.
 //
 // Submission.  Every front end has a submit_* twin here that enqueues the
 // whole front-end call as one pool job (submit_job) and returns a

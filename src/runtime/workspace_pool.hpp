@@ -144,12 +144,10 @@ class PanelCachePool {
     return *pool;
   }
 
-  /// A cache bound to `plan`'s panel geometry (or `config` when the
-  /// substrate maps panels itself -- batched entries, conv iterations), or
-  /// a null lease when `mode`, the STREAMK_PANEL_CACHE kill switch, the
-  /// plan's shareability, or the arena budget says private packing.
-  Lease acquire(const core::SchedulePlan& plan, cpu::PanelCacheMode mode,
-                const cpu::PanelCacheConfig* config = nullptr) {
+  /// A cache bound to `plan`'s panel geometry, or a null lease when
+  /// `mode`, the STREAMK_PANEL_CACHE kill switch, the plan's shareability,
+  /// or the arena budget says private packing.
+  Lease acquire(const core::SchedulePlan& plan, cpu::PanelCacheMode mode) {
     const core::PanelCacheGeometry& geo = plan.panel_geometry();
     const bool on =
         cpu::panel_cache_enabled() &&
@@ -157,15 +155,10 @@ class PanelCachePool {
          (mode == cpu::PanelCacheMode::kAuto && geo.shareable));
     if (!on) return Lease(this, nullptr);
 
-    cpu::PanelCacheConfig resolved;
-    if (config != nullptr) {
-      resolved = *config;
-    } else {
-      resolved.row_panels = geo.row_panels;
-      resolved.col_panels = geo.col_panels;
-      resolved.chunks = geo.chunks;
-      resolved.chunk_depth = geo.panel_kc;
-    }
+    const cpu::PanelCacheConfig config{.row_panels = geo.row_panels,
+                                       .col_panels = geo.col_panels,
+                                       .chunks = geo.chunks,
+                                       .chunk_depth = geo.panel_kc};
 
     std::unique_ptr<cpu::PanelCache<Acc>> cache;
     {
@@ -176,7 +169,7 @@ class PanelCachePool {
       }
     }
     if (!cache) cache = std::make_unique<cpu::PanelCache<Acc>>();
-    if (!cache->bind(plan.block(), resolved)) {
+    if (!cache->bind(plan.block(), config)) {
       release(std::move(cache));  // over budget / degenerate: run private
       return Lease(this, nullptr);
     }
@@ -202,7 +195,7 @@ class PanelCachePool {
 };
 
 /// Per-thread CTA execution buffers: the output-tile accumulator and the
-/// A/B packing/fragment scratch.
+/// A/B packing scratch.
 template <typename Acc>
 struct CtaBuffers {
   std::vector<Acc> accum;

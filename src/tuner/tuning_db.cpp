@@ -24,21 +24,6 @@ constexpr std::string_view kFormatTag = "# streamk-tuning-db v";
 constexpr std::string_view kHeader =
     "m,n,k,precision,epilogue,group,kind,block_m,block_n,block_k,grid,split,"
     "workers,panel_cache,seconds,gflops";
-/// v3 layout: no group column (records migrate to the plain digest 0).
-constexpr std::string_view kHeaderV3 =
-    "m,n,k,precision,epilogue,kind,block_m,block_n,block_k,grid,split,"
-    "workers,panel_cache,seconds,gflops";
-/// v2 layout: no panel_cache column either (records migrate to the `auto`
-/// verdict).
-constexpr std::string_view kHeaderV2 =
-    "m,n,k,precision,epilogue,kind,block_m,block_n,block_k,grid,split,"
-    "workers,seconds,gflops";
-/// v1 layout: no epilogue column either (records additionally migrate to
-/// the unfused class).
-constexpr std::string_view kLegacyHeader =
-    "m,n,k,precision,kind,block_m,block_n,block_k,grid,split,workers,"
-    "seconds,gflops";
-
 std::string_view panel_cache_token(int verdict) {
   if (verdict == 0) return "off";
   if (verdict == 1) return "on";
@@ -261,66 +246,42 @@ std::size_t TuningDb::load(const std::string& path) {
               "tuning db: '" + path + "' has no version tag");
   const std::int64_t version =
       parse_int(std::string_view(line).substr(kFormatTag.size()), "version");
-  util::check(version >= kLegacyFormatVersion && version <= kFormatVersion,
+  util::check(version == kFormatVersion,
               "tuning db: '" + path + "' is format version " +
-                  std::to_string(version) + "; this build reads versions " +
-                  std::to_string(kLegacyFormatVersion) + " through " +
+                  std::to_string(version) + "; this build reads version " +
                   std::to_string(kFormatVersion));
-  const bool has_epilogue = version >= kFormatVersionV2;
-  const bool has_group = version >= kFormatVersion;
-  const bool has_panel_cache = version >= kFormatVersionV3;
-  const std::string_view want_header =
-      has_group ? kHeader
-                : (has_panel_cache ? kHeaderV3
-                                   : (has_epilogue ? kHeaderV2 : kLegacyHeader));
-  util::check(static_cast<bool>(std::getline(in, line)) &&
-                  line == want_header,
+  util::check(static_cast<bool>(std::getline(in, line)) && line == kHeader,
               "tuning db: '" + path + "' has an unexpected header row");
 
-  // Older rows lack the epilogue (v1), group (v1-v3), and panel_cache
-  // (v1/v2) columns; every other column is shared, so one cursor-driven
-  // parser serves all four layouts, with absent columns keeping their
-  // migration defaults (unfused class, plain digest 0, `auto` verdict).
-  const std::size_t want_fields = 13 + (has_epilogue ? 1 : 0) +
-                                  (has_group ? 1 : 0) +
-                                  (has_panel_cache ? 1 : 0);
+  constexpr std::size_t kWantFields = 16;
   std::size_t parsed = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     const auto fields = split_fields(line);
-    util::check(fields.size() == want_fields,
+    util::check(fields.size() == kWantFields,
                 "tuning db: row with " + std::to_string(fields.size()) +
-                    " fields (want " + std::to_string(want_fields) +
+                    " fields (want " + std::to_string(kWantFields) +
                     ") in '" + path + "'");
-    std::size_t idx = 0;
     ShapeKey key;
-    key.shape = {parse_int(fields[idx], "m"), parse_int(fields[idx + 1], "n"),
-                 parse_int(fields[idx + 2], "k")};
-    idx += 3;
-    key.precision = parse_precision(fields[idx++]);
-    if (has_epilogue) {
-      // Canonicalize (and reject rows whose epilogue column this build
-      // cannot interpret).
-      key.epilogue = epilogue::canonical_class_key(fields[idx++]);
-    }
-    if (has_group) {
-      key.group = parse_uint64(fields[idx++], "group");
-    }
+    key.shape = {parse_int(fields[0], "m"), parse_int(fields[1], "n"),
+                 parse_int(fields[2], "k")};
+    key.precision = parse_precision(fields[3]);
+    // Canonicalize (and reject rows whose epilogue column this build
+    // cannot interpret).
+    key.epilogue = epilogue::canonical_class_key(fields[4]);
+    key.group = parse_uint64(fields[5], "group");
     TuningRecord record;
-    record.config.kind = parse_kind(fields[idx++]);
-    record.config.block = {parse_int(fields[idx], "block_m"),
-                           parse_int(fields[idx + 1], "block_n"),
-                           parse_int(fields[idx + 2], "block_k")};
-    idx += 3;
-    record.config.grid = parse_int(fields[idx++], "grid");
-    record.config.split = parse_int(fields[idx++], "split");
+    record.config.kind = parse_kind(fields[6]);
+    record.config.block = {parse_int(fields[7], "block_m"),
+                           parse_int(fields[8], "block_n"),
+                           parse_int(fields[9], "block_k")};
+    record.config.grid = parse_int(fields[10], "grid");
+    record.config.split = parse_int(fields[11], "split");
     record.config.workers =
-        static_cast<std::size_t>(parse_int(fields[idx++], "workers"));
-    if (has_panel_cache) {
-      record.config.panel_cache = parse_panel_cache(fields[idx++]);
-    }
-    record.seconds = parse_double(fields[idx], "seconds");
-    record.gflops = parse_double(fields[idx + 1], "gflops");
+        static_cast<std::size_t>(parse_int(fields[12], "workers"));
+    record.config.panel_cache = parse_panel_cache(fields[13]);
+    record.seconds = parse_double(fields[14], "seconds");
+    record.gflops = parse_double(fields[15], "gflops");
     util::check(key.shape.valid() && record.config.block.valid(),
                 "tuning db: row with invalid shape or block in '" + path +
                     "'");

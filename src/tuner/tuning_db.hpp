@@ -42,11 +42,8 @@
 // aggregate shape, so their winners must never be served to each other.
 // The `panel_cache` column (v3) records the measured verdict on the shared
 // packed-panel cache (cpu/panel_cache.hpp) as one of `auto` / `on` /
-// `off`.  Loaders reject files whose version tag they do not understand
-// instead of guessing at column meanings -- except the three legacy
-// layouts, which migrate on load: v1 (pre-epilogue) assigns every record
-// the unfused class, v1/v2 (pre-panel-cache) the `auto` panel-cache
-// verdict, and v1-v3 (pre-group) the plain digest 0.
+// `off`.  Loaders reject any version but v4 instead of guessing at column
+// meanings.
 
 #include <atomic>
 #include <cstdint>
@@ -135,15 +132,10 @@ struct TuningRecord {
 
 class TuningDb {
  public:
-  /// Version tag written as the first line of every saved file.  v4 added
-  /// the grouped-GEMM digest column, v3 the panel_cache verdict column,
-  /// v2 the epilogue-class key column; all older layouts are still
-  /// loadable (v1 records migrate to the unfused class, v1/v2 records to
-  /// the `auto` panel-cache verdict, v1-v3 records to the plain digest 0).
+  /// Version tag written as the first line of every saved file, and the
+  /// only one load() reads.  v4 added the grouped-GEMM digest column, v3
+  /// the panel_cache verdict column, v2 the epilogue-class key column.
   static constexpr int kFormatVersion = 4;
-  static constexpr int kFormatVersionV3 = 3;
-  static constexpr int kFormatVersionV2 = 2;
-  static constexpr int kLegacyFormatVersion = 1;
 
   TuningDb() = default;
 
@@ -168,8 +160,7 @@ class TuningDb {
 
   /// Parses a saved database and merges it (keep-faster).  Returns the
   /// number of records parsed.  Throws util::CheckError on a missing file,
-  /// unrecognized version tag, or malformed row.  v1 files (no epilogue
-  /// column) load with every record assigned the unfused class.
+  /// a version tag other than kFormatVersion, or a malformed row.
   std::size_t load(const std::string& path);
 
   /// Writes a consistent snapshot: temp file in the same directory, then

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "conv/implicit_gemm.hpp"
 #include "core/grouped.hpp"
 #include "core/schedule_plan.hpp"
@@ -10,6 +13,7 @@
 #include "core/validate.hpp"
 #include "cpu/batched.hpp"
 #include "cpu/executor.hpp"
+#include "cpu/gemm.hpp"
 #include "cpu/reference.hpp"
 #include "test_support.hpp"
 
@@ -302,8 +306,10 @@ TEST(Conv, ImplicitGemmMatchesDirectAcrossDecompositions) {
     SCOPED_TRACE(named.label);
     conv::Tensor4<double> out(conv.batch, conv.out_h(), conv.out_w(),
                               conv.out_channels);
-    conv::execute_conv_plan<double, double, double>(
-        core::compile_plan(*named.decomposition), conv, input, filter, out,
+    const conv::ConvProblem<double, double> problem =
+        conv::conv_problem(conv, input, filter, out);
+    cpu::execute_plan<double, double, double, cpu::Im2colView<const double>>(
+        core::compile_plan(*named.decomposition), {&problem, 1},
         {.workers = 3});
     bool equal = true;
     for (std::size_t i = 0; i < out.data().size(); ++i) {
@@ -311,6 +317,106 @@ TEST(Conv, ImplicitGemmMatchesDirectAcrossDecompositions) {
     }
     EXPECT_TRUE(equal);
   }
+}
+
+/// The explicit (NPQ x RSC) im2col matrix of `input` and the (RSC x K)
+/// matrix of `filter`: the operands convolution's implicit GEMM stands for.
+template <typename T>
+std::pair<cpu::Matrix<T>, cpu::Matrix<T>> materialize_im2col(
+    const conv::ConvShape& conv, const conv::Tensor4<T>& input,
+    const conv::Tensor4<T>& filter) {
+  const core::GemmShape g = conv.gemm_shape();
+  cpu::Matrix<T> a(g.m, g.k);
+  cpu::Matrix<T> b(g.k, g.n);
+  for (std::int64_t l = 0; l < g.k; ++l) {
+    const conv::FilterOffset off = conv::filter_offset(conv, l);
+    for (std::int64_t m = 0; m < g.m; ++m) {
+      const conv::OutputPixel px = conv::output_pixel(conv, m);
+      const std::int64_t h = px.p * conv.stride - conv.pad + off.r;
+      const std::int64_t w = px.q * conv.stride - conv.pad + off.s;
+      const bool inside =
+          h >= 0 && h < conv.height && w >= 0 && w < conv.width;
+      a.at(m, l) = inside ? input.at(px.n, h, w, off.c) : T{};
+    }
+    for (std::int64_t k = 0; k < g.n; ++k) {
+      b.at(l, k) = filter.at(k, off.r, off.s, off.c);
+    }
+  }
+  return {std::move(a), std::move(b)};
+}
+
+template <typename T>
+void expect_conv_matches_gemm_bitwise() {
+  // Real-valued data, so any difference in the summation tree shows: the
+  // convolution must chunk its reduction exactly as the GEMM over the
+  // materialized operands does, under every schedule, worker count and
+  // panel-cache mode, with a fused bias + activation.
+  using cpu::Schedule;
+  for (const std::int64_t stride : {1LL, 2LL}) {
+    for (const std::int64_t pad : {0LL, 1LL}) {
+      conv::ConvShape conv;
+      conv.batch = 2;
+      conv.height = 9;
+      conv.width = 11;
+      conv.in_channels = 13;
+      conv.out_channels = 20;
+      conv.filter_h = 3;
+      conv.filter_w = 3;
+      conv.stride = stride;
+      conv.pad = pad;
+      conv::Tensor4<T> input(conv.batch, conv.height, conv.width,
+                             conv.in_channels);
+      conv::Tensor4<T> filter(conv.out_channels, conv.filter_h, conv.filter_w,
+                              conv.in_channels);
+      util::Pcg32 rng(stride * 10 + pad);
+      conv::fill_random(input, rng);
+      conv::fill_random(filter, rng);
+      const auto [a, b] = materialize_im2col(conv, input, filter);
+      std::vector<double> bias;
+      for (std::int64_t k = 0; k < conv.out_channels; ++k) {
+        bias.push_back(rng.uniform(-1.0, 1.0));
+      }
+
+      for (const Schedule schedule :
+           {Schedule::kAuto, Schedule::kDataParallel, Schedule::kFixedSplit,
+            Schedule::kStreamK, Schedule::kHybridOneTile,
+            Schedule::kHybridTwoTile}) {
+        for (const cpu::PanelCacheMode cache :
+             {cpu::PanelCacheMode::kOn, cpu::PanelCacheMode::kOff}) {
+          for (const std::size_t workers : {1u, 3u}) {
+            cpu::GemmOptions options{.schedule = schedule,
+                                     .block = {16, 16, 8},
+                                     .workers = workers};
+            options.split = 3;
+            options.grid = 5;
+            options.panel_cache = cache;
+            options.epilogue.ops = {epilogue::EpilogueOp::bias_col(),
+                                    epilogue::EpilogueOp::relu()};
+            options.epilogue.bias_col = bias;
+            SCOPED_TRACE("stride=" + std::to_string(stride) +
+                         " pad=" + std::to_string(pad) + " schedule=" +
+                         std::to_string(static_cast<int>(schedule)) +
+                         " cache=" + std::to_string(static_cast<int>(cache)) +
+                         " workers=" + std::to_string(workers));
+            conv::Tensor4<T> out(conv.batch, conv.out_h(), conv.out_w(),
+                                 conv.out_channels);
+            conv::conv_forward<T, T, T>(conv, input, filter, out, options);
+            cpu::Matrix<T> c(a.rows(), b.cols());
+            cpu::gemm(a, b, c, options);
+            ASSERT_EQ(out.data().size(), c.data().size());
+            EXPECT_EQ(std::memcmp(out.data().data(), c.data().data(),
+                                  c.data().size() * sizeof(T)),
+                      0);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Conv, MatchesGemmOnMaterializedIm2colBitwise) {
+  expect_conv_matches_gemm_bitwise<double>();
+  expect_conv_matches_gemm_bitwise<float>();
 }
 
 TEST(Conv, StridedAndPaddedVariants) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "conv/implicit_gemm.hpp"
 #include "core/grouped.hpp"
 #include "cpu/batched.hpp"
 #include "cpu/blas.hpp"
@@ -440,6 +441,24 @@ TEST(FrontEnds, OutputAliasingAnInputIsRejected) {
                                                              options)));
   EXPECT_NO_THROW((cpu::grouped_gemm<double, double, double>(as, as, outs,
                                                              options)));
+
+  // Convolution writing over its own input: a 3x3 pad-1 conv with C == K
+  // has output extents equal to the input's.
+  conv::ConvShape shape;
+  shape.height = 12;
+  shape.width = 12;
+  shape.in_channels = 16;
+  shape.out_channels = 16;
+  shape.filter_h = 3;
+  shape.filter_w = 3;
+  shape.pad = 1;
+  conv::Tensor4<double> image(1, 12, 12, 16), filter(16, 3, 3, 16);
+  conv::fill_random(image, rng);
+  conv::fill_random(filter, rng);
+  EXPECT_THROW((conv::conv_forward<double, double, double>(shape, image,
+                                                           filter, image,
+                                                           options)),
+               util::CheckError);
 }
 
 TEST(FrontEnds, ShortOperandSpansAreRejectedBeforeIndexing) {

@@ -93,7 +93,6 @@ TEST(Calibration, FitsPositiveIterationCost) {
   cpu::CalibrationOptions options;
   options.grids = {1, 2, 4, 8};
   options.repetitions = 2;
-  options.workers = 2;
   const cpu::CalibrationResult result =
       cpu::calibrate_cpu({64, 64, 256}, {32, 32, 16}, options);
   ASSERT_EQ(result.samples.size(), 4u);
@@ -117,7 +116,6 @@ TEST(Calibration, ModelPredictsMeasurementOrdering) {
   cpu::CalibrationOptions options;
   options.grids = {1, 2, 4, 8};
   options.repetitions = 2;
-  options.workers = 4;
   const core::GemmShape shape{96, 96, 512};
   const gpu::BlockShape block{32, 32, 16};
   const cpu::CalibrationResult result =

@@ -232,6 +232,19 @@ TEST(Trace, EveryFrontEndEmitsOneGemmSpanPerCall) {
     EXPECT_EQ(obs::counter("gemm.calls").value(), calls_before);
 #endif
   }
+
+  // Convolution packs through the shared chunk walk, so its private packs
+  // land in the ledger's pack bucket rather than in MAC time.
+  TraceScope scope;
+  cpu::GemmOptions private_packs = options;
+  private_packs.panel_cache = cpu::PanelCacheMode::kOff;
+  conv::conv_forward<double, double, double>(shape, input, filter, output,
+                                             private_packs);
+#if STREAMK_OBS_ENABLED
+  EXPECT_FALSE(spans_of_kind(obs::EventKind::kPack).empty());
+#else
+  EXPECT_TRUE(spans_of_kind(obs::EventKind::kPack).empty());
+#endif
 }
 
 TEST(Trace, ChromeJsonHasEventsAndMetadata) {

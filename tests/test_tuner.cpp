@@ -259,10 +259,10 @@ TEST(TuningDb, LoadRejectsUnknownVersionsAndMalformedRows) {
 
   {
     std::ofstream out(path);
-    out << "# streamk-tuning-db v1\n"
-        << "m,n,k,precision,kind,block_m,block_n,block_k,grid,split,workers,"
-           "seconds,gflops\n"
-        << "96,96,128,fp64,warp-specialized,64,64,16,0,1,0,0.5,10\n";
+    out << "# streamk-tuning-db v4\n"
+        << "m,n,k,precision,epilogue,group,kind,block_m,block_n,block_k,grid,"
+           "split,workers,panel_cache,seconds,gflops\n"
+        << "96,96,128,fp64,,0,warp-specialized,64,64,16,0,1,0,auto,0.5,10\n";
   }
   EXPECT_THROW(db.load(path), util::CheckError);
   EXPECT_THROW(db.load(temp_db_path("does_not_exist.csv")),
@@ -303,102 +303,60 @@ TEST(TuningDb, EpilogueClassesKeyIndependentlyAndRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(TuningDb, LoadsLegacyV1FilesIntoTheUnfusedClass) {
-  const std::string path = temp_db_path("legacy_v1.csv");
-  {
-    std::ofstream out(path);
-    out << "# streamk-tuning-db v1\n"
-        << "m,n,k,precision,kind,block_m,block_n,block_k,grid,split,workers,"
-           "seconds,gflops\n"
-        << "96,96,128,fp64,stream-k,64,64,16,2,1,2,0.5,4.7\n";
+TEST(TuningDb, LoadRejectsLegacyV1ToV3Files) {
+  // Only v4 is read; the older layouts' migration readers are gone.
+  const std::string path = temp_db_path("legacy.csv");
+  const std::vector<std::string> legacy = {
+      "# streamk-tuning-db v1\n"
+      "m,n,k,precision,kind,block_m,block_n,block_k,grid,split,workers,"
+      "seconds,gflops\n"
+      "96,96,128,fp64,stream-k,64,64,16,2,1,2,0.5,4.7\n",
+      "# streamk-tuning-db v2\n"
+      "m,n,k,precision,epilogue,kind,block_m,block_n,block_k,grid,split,"
+      "workers,seconds,gflops\n"
+      "96,96,128,fp64,bias_col+relu,stream-k,64,64,16,2,1,2,0.5,4.7\n",
+      "# streamk-tuning-db v3\n"
+      "m,n,k,precision,epilogue,kind,block_m,block_n,block_k,grid,split,"
+      "workers,panel_cache,seconds,gflops\n"
+      "96,96,128,fp64,,stream-k,64,64,16,2,1,2,on,0.5,4.7\n"};
+  for (const std::string& contents : legacy) {
+    SCOPED_TRACE(contents.substr(0, contents.find('\n')));
+    {
+      std::ofstream out(path);
+      out << contents;
+    }
+    TuningDb db;
+    EXPECT_THROW(db.load(path), util::CheckError);
+    EXPECT_EQ(db.size(), 0u);
   }
-  TuningDb db;
-  EXPECT_EQ(db.load(path), 1u);
-  const auto record = db.lookup({{96, 96, 128}, gpu::Precision::kFp64});
-  ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->config.kind, core::DecompositionKind::kStreamKBasic);
-  // Migrated records land in the unfused class only.
-  EXPECT_FALSE(
-      db.lookup({{96, 96, 128}, gpu::Precision::kFp64, "relu"}).has_value());
-
-  // Re-saving writes the current (v4) layout.
-  db.save(path);
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "# streamk-tuning-db v4");
-  TuningDb reloaded;
-  EXPECT_EQ(reloaded.load(path), 1u);
   std::remove(path.c_str());
 }
 
-TEST(TuningDb, LoadsLegacyV2FilesWithoutAPanelCacheVerdict) {
-  // Mirrors the v1 migration path one version later: a v2 file (epilogue
-  // column present, panel_cache column absent) loads with every record on
-  // the -1 "no verdict" default, so dispatch keeps the kAuto knob exactly
-  // as it did before v3.
-  const std::string path = temp_db_path("legacy_v2.csv");
-  {
-    std::ofstream out(path);
-    out << "# streamk-tuning-db v2\n"
-        << "m,n,k,precision,epilogue,kind,block_m,block_n,block_k,grid,"
-           "split,workers,seconds,gflops\n"
-        << "96,96,128,fp64,bias_col+relu,stream-k,64,64,16,2,1,2,0.5,4.7\n"
-        << "64,64,64,fp32,,data-parallel,64,64,16,0,1,0,0.25,2.1\n";
-  }
+TEST(TuningDb, PanelCacheVerdictsRoundTripThroughV4Files) {
+  // Each verdict survives save + load, and dispatch maps it onto the knob:
+  // no verdict (-1) keeps kAuto, 0 forces kOff, 1 forces kOn.
   TuningDb db;
-  EXPECT_EQ(db.load(path), 2u);
-  const auto fused =
-      db.lookup({{96, 96, 128}, gpu::Precision::kFp64, "bias_col+relu"});
-  ASSERT_TRUE(fused.has_value());
-  EXPECT_EQ(fused->config.kind, core::DecompositionKind::kStreamKBasic);
-  EXPECT_EQ(fused->config.panel_cache, -1);
-  // No verdict -> tuned_options leaves the knob on kAuto.
-  EXPECT_EQ(tuned_options(fused->config).panel_cache,
-            cpu::PanelCacheMode::kAuto);
-
-  // Re-saving writes v4; a verdict round-trips through the new column.
-  TuningRecord verdict = *db.lookup({{64, 64, 64}, gpu::Precision::kFp32});
-  verdict.config.panel_cache = 0;
-  verdict.seconds *= 0.5;  // beat the stored record so update() keeps it
-  EXPECT_TRUE(db.update({{64, 64, 64}, gpu::Precision::kFp32}, verdict));
+  for (const int verdict : {-1, 0, 1}) {
+    TuningRecord record = make_record(core::DecompositionKind::kDataParallel,
+                                      {64, 64, 16}, 0.25);
+    record.config.panel_cache = verdict;
+    db.update({{64, 64, 64 + verdict + 1}, gpu::Precision::kFp32}, record);
+  }
+  const std::string path = temp_db_path("verdicts.csv");
   db.save(path);
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "# streamk-tuning-db v4");
   TuningDb reloaded;
-  EXPECT_EQ(reloaded.load(path), 2u);
-  const auto off = reloaded.lookup({{64, 64, 64}, gpu::Precision::kFp32});
-  ASSERT_TRUE(off.has_value());
-  EXPECT_EQ(off->config.panel_cache, 0);
-  EXPECT_EQ(tuned_options(off->config).panel_cache,
-            cpu::PanelCacheMode::kOff);
+  EXPECT_EQ(reloaded.load(path), 3u);
   EXPECT_EQ(reloaded.snapshot(), db.snapshot());
-  std::remove(path.c_str());
-}
-
-TEST(TuningDb, LoadsV3FilesIntoThePlainGroupDigest) {
-  // A v3 file (panel_cache present, group column absent) migrates with
-  // every record on the plain-GEMM digest 0, so pre-grouped databases keep
-  // serving plain dispatch and never alias a grouped key.
-  const std::string path = temp_db_path("legacy_v3.csv");
-  {
-    std::ofstream out(path);
-    out << "# streamk-tuning-db v3\n"
-        << "m,n,k,precision,epilogue,kind,block_m,block_n,block_k,grid,"
-           "split,workers,panel_cache,seconds,gflops\n"
-        << "96,96,128,fp64,,stream-k,64,64,16,2,1,2,on,0.5,4.7\n";
+  const cpu::PanelCacheMode want[] = {cpu::PanelCacheMode::kAuto,
+                                      cpu::PanelCacheMode::kOff,
+                                      cpu::PanelCacheMode::kOn};
+  for (const int verdict : {-1, 0, 1}) {
+    const auto record =
+        reloaded.lookup({{64, 64, 64 + verdict + 1}, gpu::Precision::kFp32});
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->config.panel_cache, verdict);
+    EXPECT_EQ(tuned_options(record->config).panel_cache, want[verdict + 1]);
   }
-  TuningDb db;
-  EXPECT_EQ(db.load(path), 1u);
-  const auto plain = db.lookup({{96, 96, 128}, gpu::Precision::kFp64});
-  ASSERT_TRUE(plain.has_value());
-  EXPECT_EQ(plain->config.panel_cache, 1);
-  const std::vector<core::GemmShape> group{{96, 96, 128}};
-  EXPECT_FALSE(db.lookup({{96, 96, 128}, gpu::Precision::kFp64, "",
-                          group_digest(group)})
-                   .has_value());
   std::remove(path.c_str());
 }
 
@@ -455,10 +413,10 @@ TEST(TuningDb, RejectsRowsWithUnknownEpilogueClass) {
   const std::string path = temp_db_path("bad_epilogue.csv");
   {
     std::ofstream out(path);
-    out << "# streamk-tuning-db v2\n"
-        << "m,n,k,precision,epilogue,kind,block_m,block_n,block_k,grid,"
-           "split,workers,seconds,gflops\n"
-        << "96,96,128,fp64,warp_fuse,stream-k,64,64,16,2,1,2,0.5,4.7\n";
+    out << "# streamk-tuning-db v4\n"
+        << "m,n,k,precision,epilogue,group,kind,block_m,block_n,block_k,grid,"
+           "split,workers,panel_cache,seconds,gflops\n"
+        << "96,96,128,fp64,warp_fuse,0,stream-k,64,64,16,2,1,2,auto,0.5,4.7\n";
   }
   TuningDb db;
   EXPECT_THROW(db.load(path), util::CheckError);
