@@ -9,10 +9,11 @@
 //   two-pass  C = alpha*A.B; C = act(C + bias)  gemm + apply_elementwise
 //
 // on bandwidth-bound shapes (large m*n, shallow k -- where the extra pass
-// is a large fraction of total traffic) and one compute-bound contrast
-// shape (deep k -- where it vanishes into the MAC time; fused must not
-// regress there).  Both sides use the same worker budget; times are
-// best-of-reps.
+// is a large fraction of total traffic), one compute-bound contrast shape
+// (deep k -- where it vanishes into the MAC time; fused must not regress
+// there), and one decode-shaped fp16 bias+GELU layer (small m, deep k: the
+// transcendental activation's own cost shows).  Both sides use the same
+// worker budget; times are best-of-reps.
 //
 //   ./bench_epilogue [--smoke] [--csv <path>]
 
@@ -122,7 +123,8 @@ int main(int argc, char** argv) {
       "composable_kernel / MIOpen");
 
   // Bandwidth-bound shapes lead (shallow k: the second pass over C is a
-  // large traffic fraction); the deep-k contrast pins "fused never hurts".
+  // large traffic fraction); the deep-k contrast pins "fused never hurts";
+  // the decode case is the only one that runs the GELU kernel.
   const std::vector<AbCase> cases =
       options.smoke
           ? std::vector<AbCase>{
@@ -134,6 +136,8 @@ int main(int argc, char** argv) {
                  gpu::Precision::kFp64, "bias_col+relu"},
                 {"compute-bound fp32 bias+relu", {256, 256, 512},
                  gpu::Precision::kFp32, "bias_col+relu"},
+                {"decode fp16 bias+gelu", {32, 512, 1024},
+                 gpu::Precision::kFp16F32, "bias_col+gelu"},
             }
           : std::vector<AbCase>{
                 {"bw-bound fp32 bias+relu", {2048, 2048, 16},
@@ -148,6 +152,8 @@ int main(int argc, char** argv) {
                  gpu::Precision::kFp16F32, "bias_col+relu"},
                 {"compute-bound fp32 bias+relu", {768, 768, 768},
                  gpu::Precision::kFp32, "bias_col+relu"},
+                {"decode fp16 bias+gelu", {32, 512, 1024},
+                 gpu::Precision::kFp16F32, "bias_col+gelu"},
             };
   const int reps = options.smoke ? 5 : 9;
 

@@ -22,9 +22,11 @@
 // (bench/bench_epilogue.cpp) and as the reference the property tests
 // compare the fused path against.
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 #include "epilogue/epilogue.hpp"
 #include "obs/obs.hpp"
@@ -56,88 +58,174 @@ inline void atomic_add(double* target, double value) {
   }
 }
 
-template <typename Acc>
-inline Acc gelu(Acc v) {
-  // tanh-approximation GELU (the form fused into transformer kernels).
-  const Acc kSqrt2OverPi = static_cast<Acc>(0.7978845608028654);
-  const Acc kCubic = static_cast<Acc>(0.044715);
-  return static_cast<Acc>(0.5) * v *
-         (static_cast<Acc>(1) +
-          std::tanh(kSqrt2OverPi * (v + kCubic * v * v * v)));
-}
-
-template <typename Acc>
-inline Acc sigmoid(Acc v) {
-  return static_cast<Acc>(1) / (static_cast<Acc>(1) + std::exp(-v));
-}
-
-}  // namespace detail
-
-namespace detail {
-
 /// Elements staged per chunk: one cache-line-friendly stack buffer that an
 /// op's loop sweeps before the next op runs.  Staging per *op* rather than
-/// per *element* is what makes the chain cheap -- each case below is a
+/// per *element* is what makes the chain cheap -- each op below is a
 /// branch-free loop over the chunk the compiler vectorizes, instead of an
 /// op-switch inside the element loop (~6x slower measured).
 constexpr std::int64_t kRowChunk = 256;
 
-/// One-loop bias+activation row: c[j] = act(a*acc[j] [+ b*c[j]] [+ bias[j]]).
-/// The four branch-hoisted variants keep each loop body straight-line so it
-/// vectorizes.
-template <typename Acc, typename Out, typename Act>
-inline void bias_act_row(Acc a, Acc b, bool read_c, const double* bias,
-                         const Acc* acc, Out* c, std::int64_t en, Act act) {
-  if (read_c) {
-    if (bias != nullptr) {
-      for (std::int64_t j = 0; j < en; ++j) {
-        c[j] = static_cast<Out>(act(a * acc[j] + b * static_cast<Acc>(c[j]) +
-                                    static_cast<Acc>(bias[j])));
-      }
-    } else {
-      for (std::int64_t j = 0; j < en; ++j) {
-        c[j] = static_cast<Out>(
-            act(a * acc[j] + b * static_cast<Acc>(c[j])));
-      }
+/// tanh_chunk's input clamp: from +-kTanhClamp on it returns exactly +-1.
+inline constexpr float kTanhClamp = 7.90531110763549805f;
+
+/// In-place fp32 tanh over a chunk of n <= kRowChunk elements.
+///
+/// A clamped odd rational, tanh(y) ~ y*P(y^2)/Q(y^2) with P of degree 6 and
+/// Q of degree 3 in y^2 (the 13/6 minimax form of Eigen's ptanh_float),
+/// written as plain loops the compiler vectorizes on every ISA.  The clamp
+/// is its own loop: fused into the rational's loop, GCC (under the default
+/// -ftrapping-math) threads the clamp's select into branches and the loop
+/// no longer vectorizes on targets without AVX-512 masked ops.
+///
+/// Accuracy contract (asserted by the EpilogueMath tests): within 8 ulp of
+/// std::tanh over [-10, 10] and on tiny and subnormal inputs (4.6 measured
+/// with FMA contraction, 5.5 without); tanh(+-0) = +-0; exactly +-1 from
+/// +-kTanhClamp on, +-Inf included; NaN stays NaN.
+inline void tanh_chunk(float* t, std::int64_t n) {
+  for (std::int64_t j = 0; j < n; ++j) {
+    t[j] = std::min(std::max(t[j], -kTanhClamp), kTanhClamp);  // keeps NaN
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    const float y = t[j];
+    const float y2 = y * y;
+    float p = -2.76076847742355e-16f;
+    p = p * y2 + 2.00018790482477e-13f;
+    p = p * y2 + -8.60467152213735e-11f;
+    p = p * y2 + 5.12229709037114e-08f;
+    p = p * y2 + 1.48572235717979e-05f;
+    p = p * y2 + 6.37261928875436e-04f;
+    p = p * y2 + 4.89352455891786e-03f;
+    float q = 1.19825839466702e-06f;
+    q = q * y2 + 1.18534705686654e-04f;
+    q = q * y2 + 2.26843463243900e-03f;
+    q = q * y2 + 4.89352518554385e-03f;
+    // y * (p / q), not (y * p) / q: p / q is near 1 for small y, so
+    // subnormal y keep their precision.
+    const float r = y * (p / q);
+    // At the clamp r is within 2.7e-7 of +-1; return +-1 exactly.  Both
+    // arms read r (which has y's sign), so the division cannot be sunk
+    // into a branch -- that too would stop the loop vectorizing.
+    t[j] = std::abs(y) >= kTanhClamp ? std::copysign(1.0f, r) : r;
+  }
+}
+
+/// In-place tanh-approximation GELU (the form fused into transformer
+/// kernels) over a chunk of n <= kRowChunk elements:
+/// v = 0.5 v (1 + tanh(sqrt(2/pi) (v + 0.044715 v^3))).  fp32 takes the
+/// tanh from tanh_chunk; other accumulators stay on std::tanh, so fp64
+/// results are the libm formula's bits.
+template <typename Acc>
+inline void gelu_chunk(Acc* v, std::int64_t n) {
+  const Acc kSqrt2OverPi = static_cast<Acc>(0.7978845608028654);
+  const Acc kCubic = static_cast<Acc>(0.044715);
+  const Acc kHalf = static_cast<Acc>(0.5);
+  const Acc kOne = static_cast<Acc>(1);
+  if constexpr (std::is_same_v<Acc, float>) {
+    float t[kRowChunk];
+    for (std::int64_t j = 0; j < n; ++j) {
+      t[j] = kSqrt2OverPi * (v[j] + kCubic * v[j] * v[j] * v[j]);
     }
+    tanh_chunk(t, n);
+    for (std::int64_t j = 0; j < n; ++j) v[j] = kHalf * v[j] * (kOne + t[j]);
   } else {
-    if (bias != nullptr) {
-      for (std::int64_t j = 0; j < en; ++j) {
-        c[j] = static_cast<Out>(act(a * acc[j] + static_cast<Acc>(bias[j])));
-      }
-    } else {
-      for (std::int64_t j = 0; j < en; ++j) {
-        c[j] = static_cast<Out>(act(a * acc[j]));
-      }
+    for (std::int64_t j = 0; j < n; ++j) {
+      v[j] = kHalf * v[j] *
+             (kOne +
+              std::tanh(kSqrt2OverPi * (v[j] + kCubic * v[j] * v[j] * v[j])));
     }
   }
 }
 
-/// The one activation-kind dispatch for the bias+activation pattern:
-/// invokes `run` with the pattern's pointwise op as a callable.  Shared by
-/// the row and tile fast paths so an op's scalar form exists exactly once.
-template <typename Acc, typename Run>
-inline void with_bias_act(const EpiloguePlan::BiasActPattern& fast,
-                          Run&& run) {
-  switch (fast.has_act ? fast.act.kind : OpKind::kBiasCol) {
+/// In-place logistic sigmoid over a chunk of n <= kRowChunk elements.
+/// fp32 evaluates it on the tanh kernel as 0.5 + 0.5 tanh(0.5 v), so there
+/// is one transcendental to maintain; other accumulators stay on the libm
+/// formula 1 / (1 + exp(-v)).
+template <typename Acc>
+inline void sigmoid_chunk(Acc* v, std::int64_t n) {
+  if constexpr (std::is_same_v<Acc, float>) {
+    for (std::int64_t j = 0; j < n; ++j) v[j] *= 0.5f;
+    tanh_chunk(v, n);
+    for (std::int64_t j = 0; j < n; ++j) v[j] = 0.5f + 0.5f * v[j];
+  } else {
+    for (std::int64_t j = 0; j < n; ++j) {
+      v[j] = static_cast<Acc>(1) / (static_cast<Acc>(1) + std::exp(-v[j]));
+    }
+  }
+}
+
+/// Applies a pointwise op (relu, gelu, sigmoid or clamp) in place to a
+/// chunk of n <= kRowChunk elements; other kinds leave it unchanged.  The
+/// one op-to-kernel mapping, shared by the bias+activation fast path and
+/// the generic chain interpreter.
+template <typename Acc>
+inline void pointwise_chunk(const EpilogueOp& op, Acc* v, std::int64_t n) {
+  switch (op.kind) {
     case OpKind::kReLU:
-      run([](Acc v) { return v > Acc{} ? v : Acc{}; });
+      for (std::int64_t j = 0; j < n; ++j) v[j] = v[j] > Acc{} ? v[j] : Acc{};
       break;
     case OpKind::kGELU:
-      run([](Acc v) { return gelu(v); });
+      gelu_chunk(v, n);
       break;
     case OpKind::kSigmoid:
-      run([](Acc v) { return sigmoid(v); });
+      sigmoid_chunk(v, n);
       break;
     case OpKind::kClamp: {
-      const Acc lo = static_cast<Acc>(fast.act.lo);
-      const Acc hi = static_cast<Acc>(fast.act.hi);
-      run([lo, hi](Acc v) { return v < lo ? lo : (v > hi ? hi : v); });
+      const Acc lo = static_cast<Acc>(op.lo);
+      const Acc hi = static_cast<Acc>(op.hi);
+      for (std::int64_t j = 0; j < n; ++j) {
+        v[j] = v[j] < lo ? lo : (v[j] > hi ? hi : v[j]);
+      }
       break;
     }
-    default:  // bias only
-      run([](Acc v) { return v; });
+    default:
       break;
+  }
+}
+
+/// One-row bias+activation: c[j] = act(a*acc[j] [+ b*c[j]] [+ bias[j]]),
+/// act optional.  Per kRowChunk chunk, one of four branch-hoisted
+/// straight-line loops scales into a staging buffer (converting the double
+/// bias to Acc there), then `act` sweeps the buffer in place.  When Out is
+/// Acc the buffer is the output itself (each element is read before it is
+/// written, so acc may alias c); otherwise it is a stack buffer and one
+/// more loop converts and stores it.
+template <typename Acc, typename Out>
+inline void bias_act_row(Acc a, Acc b, bool read_c, const double* bias,
+                         const EpilogueOp* act, const Acc* acc, Out* c,
+                         std::int64_t en) {
+  for (std::int64_t j0 = 0; j0 < en; j0 += kRowChunk) {
+    const std::int64_t cn = std::min(kRowChunk, en - j0);
+    const Acc* acc_chunk = acc + j0;
+    Out* c_chunk = c + j0;
+    Acc staged[kRowChunk];
+    Acc* v = staged;
+    if constexpr (std::is_same_v<Acc, Out>) v = c_chunk;
+    if (read_c) {
+      if (bias != nullptr) {
+        for (std::int64_t j = 0; j < cn; ++j) {
+          v[j] = a * acc_chunk[j] + b * static_cast<Acc>(c_chunk[j]) +
+                 static_cast<Acc>(bias[j0 + j]);
+        }
+      } else {
+        for (std::int64_t j = 0; j < cn; ++j) {
+          v[j] = a * acc_chunk[j] + b * static_cast<Acc>(c_chunk[j]);
+        }
+      }
+    } else {
+      if (bias != nullptr) {
+        for (std::int64_t j = 0; j < cn; ++j) {
+          v[j] = a * acc_chunk[j] + static_cast<Acc>(bias[j0 + j]);
+        }
+      } else {
+        for (std::int64_t j = 0; j < cn; ++j) v[j] = a * acc_chunk[j];
+      }
+    }
+    if (act != nullptr) pointwise_chunk(*act, v, cn);
+    if constexpr (!std::is_same_v<Acc, Out>) {
+      for (std::int64_t j = 0; j < cn; ++j) {
+        c_chunk[j] = static_cast<Out>(v[j]);
+      }
+    }
   }
 }
 
@@ -185,9 +273,9 @@ inline void apply_row(const EpiloguePlan& plan, const EpilogueSpec& spec,
         fast->bias_col
             ? spec.bias_col.data() + static_cast<std::size_t>(col0)
             : nullptr;
-    detail::with_bias_act<Acc>(*fast, [&](auto act) {
-      detail::bias_act_row<Acc, Out>(a, b, read_c, bias, acc, c, en, act);
-    });
+    detail::bias_act_row<Acc, Out>(a, b, read_c, bias,
+                                   fast->has_act ? &fast->act : nullptr, acc,
+                                   c, en);
     STREAMK_OBS_COUNT("epilogue.bias_act_rows");
     if (EpilogueProbe::enabled()) {
       EpilogueProbe::record(row * out_cols + col0, en);
@@ -243,24 +331,11 @@ inline void apply_row(const EpiloguePlan& plan, const EpilogueSpec& spec,
           break;
         }
         case OpKind::kReLU:
-          for (std::int64_t j = 0; j < cn; ++j) {
-            v[j] = v[j] > Acc{} ? v[j] : Acc{};
-          }
-          break;
         case OpKind::kGELU:
-          for (std::int64_t j = 0; j < cn; ++j) v[j] = detail::gelu(v[j]);
-          break;
         case OpKind::kSigmoid:
-          for (std::int64_t j = 0; j < cn; ++j) v[j] = detail::sigmoid(v[j]);
+        case OpKind::kClamp:
+          detail::pointwise_chunk(op, v, cn);
           break;
-        case OpKind::kClamp: {
-          const Acc lo = static_cast<Acc>(op.lo);
-          const Acc hi = static_cast<Acc>(op.hi);
-          for (std::int64_t j = 0; j < cn; ++j) {
-            v[j] = v[j] < lo ? lo : (v[j] > hi ? hi : v[j]);
-          }
-          break;
-        }
         case OpKind::kResidual:
           if (res64 != nullptr) {
             for (std::int64_t j = 0; j < cn; ++j) {
@@ -328,12 +403,11 @@ inline void apply_tile(const EpiloguePlan& plan, const EpilogueSpec& spec,
         fast->bias_col
             ? spec.bias_col.data() + static_cast<std::size_t>(col0)
             : nullptr;
-    detail::with_bias_act<Acc>(*fast, [&](auto act) {
-      for (std::int64_t i = 0; i < em; ++i) {
-        detail::bias_act_row<Acc, Out>(a, b, read_c, bias, acc + i * acc_ld,
-                                       c + i * c_ld, en, act);
-      }
-    });
+    const EpilogueOp* act = fast->has_act ? &fast->act : nullptr;
+    for (std::int64_t i = 0; i < em; ++i) {
+      detail::bias_act_row<Acc, Out>(a, b, read_c, bias, act,
+                                     acc + i * acc_ld, c + i * c_ld, en);
+    }
     STREAMK_OBS_COUNT_N("epilogue.bias_act_rows", em);
     if (EpilogueProbe::enabled()) {
       for (std::int64_t i = 0; i < em; ++i) {

@@ -42,8 +42,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace streamk::epilogue {
@@ -105,6 +108,25 @@ struct TensorRef {
   }
 };
 
+/// A read-only binding of caller-owned data: a std::span<const double>
+/// that refuses temporaries.  A plain span of const elements also binds to
+/// an rvalue container, so `spec.bias_col = std::vector<double>(n)` would
+/// compile and leave the span dangling; here binding an rvalue that owns
+/// its elements is a compile error, at construction and at assignment.
+/// Temporary views (spans) still bind: they own nothing.
+class ConstBinding : public std::span<const double> {
+ public:
+  ConstBinding() = default;
+  ConstBinding(std::span<const double> data) : std::span<const double>(data) {}
+  template <typename R>
+    requires std::is_constructible_v<std::span<const double>, R> &&
+             (std::is_lvalue_reference_v<R> || std::ranges::borrowed_range<R>)
+  ConstBinding(R&& data) : std::span<const double>(std::forward<R>(data)) {}
+  template <typename R>
+    requires(!std::ranges::borrowed_range<R>)
+  ConstBinding(const R&&) = delete;  // a temporary: the binding would dangle
+};
+
 /// The user-facing request: op chain plus data bindings.  Travels inside
 /// cpu::GemmOptions / cpu::ExecutorOptions by value (spans copy; the
 /// referenced storage must outlive the call).
@@ -120,11 +142,11 @@ struct TensorRef {
 struct EpilogueSpec {
   std::vector<EpilogueOp> ops;  ///< applied in order after alpha/beta scale
 
-  std::span<const double> bias_row;  ///< length >= output rows
-  std::span<const double> bias_col;  ///< length >= output cols
-  TensorRef residual;                ///< output-shaped D matrix
-  std::span<double> row_abs_max;     ///< length >= output rows (written)
-  std::span<double> row_sum;         ///< length >= output rows (written)
+  ConstBinding bias_row;          ///< length >= output rows
+  ConstBinding bias_col;          ///< length >= output cols
+  TensorRef residual;             ///< output-shaped D matrix
+  std::span<double> row_abs_max;  ///< length >= output rows (written)
+  std::span<double> row_sum;      ///< length >= output rows (written)
 
   bool empty() const { return ops.empty(); }
 };
@@ -156,8 +178,8 @@ class EpiloguePlan {
 
   /// The (optional bias_col) + (optional single pointwise op) pattern --
   /// the bias+activation shape MLP and conv layers fuse.  Recognized at
-  /// compile time so the applier can run it as one tight loop with no
-  /// staging buffer (the generic interpreter stages per op).
+  /// compile time so the applier runs it without the generic chain
+  /// interpreter's per-row set-up.
   struct BiasActPattern {
     bool bias_col = false;
     bool has_act = false;

@@ -16,6 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <type_traits>
 
 #include "conv/implicit_gemm.hpp"
 #include "core/schedule_plan.hpp"
@@ -637,6 +641,276 @@ TEST(EpilogueTwoPass, FusedMatchesGemmPlusElementwiseSweep) {
                               /*workers=*/3);
 
   EXPECT_TRUE(testing::bitwise_equal(fused, two_pass));
+}
+
+// --- fp32 activation math: the accuracy contract ---------------------------
+//
+// fp32 accumulators evaluate tanh with a clamped rational
+// (epilogue::detail::tanh_chunk), and GELU and sigmoid on top of it; fp64
+// accumulators stay on libm.  The bounds below are the contract.
+
+constexpr double kTanhMaxUlp = 8.0;
+constexpr double kGeluAbsErrPerUnit = 4e-7;  ///< times max(1, |x|)
+constexpr double kSigmoidMaxAbsErr = 4e-7;
+
+double gelu_reference(double x) {
+  return 0.5 * x *
+         (1.0 + std::tanh(0.7978845608028654 * (x + 0.044715 * x * x * x)));
+}
+
+double sigmoid_reference(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+
+/// The fp32 formulas on libm: at the special values the kernels must give
+/// exactly these.
+float gelu_scalar_fp32(float x) {
+  return 0.5f * x *
+         (1.0f + std::tanh(0.7978845608028654f * (x + 0.044715f * x * x * x)));
+}
+
+float sigmoid_scalar_fp32(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+
+/// |got - want| in units of the float spacing at float(want) (the
+/// subnormal spacing at zero).
+double ulp_error(float got, double want) {
+  const float nearest = std::abs(static_cast<float>(want));
+  const double spacing =
+      static_cast<double>(std::nextafter(nearest, INFINITY)) -
+      static_cast<double>(nearest);
+  return std::abs(static_cast<double>(got) - want) / spacing;
+}
+
+/// [-10, 10] at step 1e-4, plus tiny and subnormal magnitudes of both
+/// signs and the floats on either side of the tanh clamp.
+std::vector<float> finite_sweep() {
+  std::vector<float> xs;
+  for (int i = -100000; i <= 100000; ++i) {
+    xs.push_back(static_cast<float>(i * 1e-4));
+  }
+  for (int e = -149; e < -7; ++e) {
+    for (const float sign : {1.0f, -1.0f}) {
+      xs.push_back(sign * std::ldexp(1.0f, e));
+      xs.push_back(sign * std::ldexp(1.7f, e));
+    }
+  }
+  const float clamp = epilogue::detail::kTanhClamp;
+  for (const float edge : {clamp, -clamp}) {
+    xs.push_back(edge);
+    xs.push_back(std::nextafter(edge, 0.0f));
+    xs.push_back(std::nextafter(edge, 2.0f * edge));
+  }
+  return xs;
+}
+
+std::vector<float> special_values() {
+  const float inf = std::numeric_limits<float>::infinity();
+  return {0.0f, -0.0f, inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+          1e20f, -1e20f};  // v^3 overflows at +-1e20
+}
+
+std::vector<float> tanh_fp32(std::vector<float> xs) {
+  for (std::size_t j0 = 0; j0 < xs.size();
+       j0 += static_cast<std::size_t>(epilogue::detail::kRowChunk)) {
+    const auto n = std::min<std::size_t>(
+        static_cast<std::size_t>(epilogue::detail::kRowChunk),
+        xs.size() - j0);
+    epilogue::detail::tanh_chunk(xs.data() + j0,
+                                 static_cast<std::int64_t>(n));
+  }
+  return xs;
+}
+
+/// One row through apply_row with `ops`: a single activation takes the
+/// bias+activation fast path; appending row_abs_max forces the generic
+/// chunk interpreter.
+template <typename T>
+std::vector<T> apply_chain(const std::vector<T>& xs,
+                           std::vector<EpilogueOp> ops) {
+  std::vector<double> abs_max(1, 0.0);
+  EpilogueSpec spec;
+  spec.ops = std::move(ops);
+  spec.row_abs_max = abs_max;
+  const auto plan = epilogue::compile(spec.ops);
+  std::vector<T> out(xs.size());
+  const auto n = static_cast<std::int64_t>(xs.size());
+  epilogue::apply_row<T, T>(*plan, spec, 1.0, 0.0, 0, 0, n, n, xs.data(),
+                            out.data());
+  return out;
+}
+
+/// Bitwise equality, except that any NaN matches any NaN.
+bool same_value(float a, float b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+TEST(EpilogueMath, Fp32TanhWithinEightUlpOfLibm) {
+  const std::vector<float> xs = finite_sweep();
+  const std::vector<float> got = tanh_fp32(xs);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_LE(ulp_error(got[i], std::tanh(static_cast<double>(xs[i]))),
+              kTanhMaxUlp)
+        << "x = " << xs[i];
+  }
+
+  const std::vector<float> specials = special_values();
+  const std::vector<float> sgot = tanh_fp32(specials);
+  for (std::size_t i = 0; i < specials.size(); ++i) {
+    EXPECT_TRUE(same_value(std::tanh(specials[i]), sgot[i]))
+        << "x = " << specials[i] << " got " << sgot[i];
+  }
+  // Saturated from the clamp on, so GELU(-Inf) and sigmoid(+-Inf) keep
+  // their libm values.
+  const float clamp = epilogue::detail::kTanhClamp;
+  EXPECT_EQ(tanh_fp32({clamp, -clamp}), (std::vector<float>{1.0f, -1.0f}));
+}
+
+TEST(EpilogueMath, Fp32GeluAndSigmoidWithinBoundsOnBothPaths) {
+  const std::vector<float> xs = finite_sweep();
+  for (const EpilogueOp op : {EpilogueOp::gelu(), EpilogueOp::sigmoid()}) {
+    SCOPED_TRACE(epilogue::class_key({&op, 1}));
+    const bool gelu = op.kind == epilogue::OpKind::kGELU;
+    const std::vector<float> fast = apply_chain(xs, {op});
+    const std::vector<float> generic =
+        apply_chain(xs, {op, EpilogueOp::row_abs_max()});
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const double x = xs[i];
+      const double err =
+          std::abs(static_cast<double>(fast[i]) -
+                   (gelu ? gelu_reference(x) : sigmoid_reference(x)));
+      const double bound =
+          gelu ? kGeluAbsErrPerUnit * std::max(1.0, std::abs(x))
+               : kSigmoidMaxAbsErr;
+      EXPECT_LE(err, bound) << "x = " << x;
+      EXPECT_TRUE(same_value(fast[i], generic[i])) << "x = " << x;
+    }
+
+    const std::vector<float> specials = special_values();
+    const std::vector<float> sfast = apply_chain(specials, {op});
+    const std::vector<float> sgeneric =
+        apply_chain(specials, {op, EpilogueOp::row_abs_max()});
+    for (std::size_t i = 0; i < specials.size(); ++i) {
+      const float want = gelu ? gelu_scalar_fp32(specials[i])
+                              : sigmoid_scalar_fp32(specials[i]);
+      EXPECT_TRUE(same_value(want, sfast[i]))
+          << "x = " << specials[i] << " want " << want << " got " << sfast[i];
+      EXPECT_TRUE(same_value(want, sgeneric[i])) << "x = " << specials[i];
+    }
+  }
+  // The one case where the formula itself yields NaN for a non-NaN input.
+  EXPECT_TRUE(std::isnan(
+      apply_chain<float>({-std::numeric_limits<float>::infinity()},
+                         {EpilogueOp::gelu()})[0]));
+}
+
+TEST(EpilogueMath, Fp64StaysBitwiseOnLibm) {
+  std::vector<double> xs;
+  for (int i = -20000; i <= 20000; ++i) xs.push_back(i * 5e-4);
+  for (const float special : special_values()) xs.push_back(special);
+  const std::vector<double> gelu = apply_chain(xs, {EpilogueOp::gelu()});
+  const std::vector<double> sigmoid =
+      apply_chain(xs, {EpilogueOp::sigmoid(), EpilogueOp::row_abs_max()});
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double want_gelu = gelu_reference(xs[i]);
+    const double want_sigmoid = sigmoid_reference(xs[i]);
+    EXPECT_TRUE(std::memcmp(&want_gelu, &gelu[i], sizeof(double)) == 0 ||
+                (std::isnan(want_gelu) && std::isnan(gelu[i])))
+        << "x = " << xs[i];
+    EXPECT_TRUE(
+        std::memcmp(&want_sigmoid, &sigmoid[i], sizeof(double)) == 0 ||
+        (std::isnan(want_sigmoid) && std::isnan(sigmoid[i])))
+        << "x = " << xs[i];
+  }
+}
+
+TEST(EpilogueMath, NanAndInfPropagateThroughSpillingFp32Gemm) {
+  const core::GemmShape shape{70, 67, 96};
+  const gpu::BlockShape block{32, 32, 16};
+  const core::WorkMapping mapping(shape, block);
+  const core::StreamKBasic decomposition(mapping, 5);
+  const core::SchedulePlan plan = core::compile_plan(decomposition);
+  ASSERT_GT(plan.total_spills(), 0);  // fixup partials carry the values
+
+  Matrix<float> a(shape.m, shape.k);
+  Matrix<float> b(shape.k, shape.n);
+  util::Pcg32 rng(97);
+  cpu::fill_random_int(a, rng, -2, 2);
+  cpu::fill_random_int(b, rng, -2, 2);  // zeros too: Inf * 0 = NaN
+  const float inf = std::numeric_limits<float>::infinity();
+  a.at(3, 5) = std::numeric_limits<float>::quiet_NaN();
+  a.at(17, 40) = inf;
+  a.at(40, 90) = -inf;
+  a.at(66, 0) = inf;
+  a.at(66, 95) = -inf;  // Inf - Inf: NaN across the whole row
+
+  Matrix<float> product(shape.m, shape.n);
+  cpu::naive_gemm<float, float, float>(a, b, product);
+
+  Bindings<float> bindings(shape.m, shape.n, rng);
+  for (const EpilogueOp act : {EpilogueOp::gelu(), EpilogueOp::sigmoid()}) {
+    const EpilogueSpec spec = bindings.spec({EpilogueOp::bias_col(), act});
+    SCOPED_TRACE(epilogue::class_key(spec.ops));
+    const auto eplan = plan.epilogue_plan(spec);
+    const Matrix<float> zero(shape.m, shape.n);
+    const Matrix<float> expected = reference_epilogue<float, float>(
+        product, zero, 1.0, 0.0, *eplan, spec);
+
+    Matrix<float> fused(shape.m, shape.n);
+    cpu::ExecutorOptions options;
+    options.workers = 3;
+    options.epilogue = spec;
+    testing::execute_matrices<float, float, float>(plan, a, b, fused,
+                                                   options);
+
+    Matrix<float> two_pass(shape.m, shape.n);
+    options.epilogue = {};
+    testing::execute_matrices<float, float, float>(plan, a, b, two_pass,
+                                                   options);
+    epilogue::apply_elementwise(*eplan, spec, shape.m, shape.n,
+                                two_pass.row_ptr(0), shape.n,
+                                /*workers=*/2);
+
+    std::int64_t nan = 0;
+    std::int64_t saturated = 0;
+    for (std::int64_t i = 0; i < shape.m; ++i) {
+      for (std::int64_t j = 0; j < shape.n; ++j) {
+        const float got = fused.at(i, j);
+        EXPECT_TRUE(same_value(expected.at(i, j), got))
+            << i << "," << j << " want " << expected.at(i, j) << " got "
+            << got;
+        nan += std::isnan(got) ? 1 : 0;
+        saturated += std::isinf(product.at(i, j)) ? 1 : 0;
+      }
+    }
+    EXPECT_GE(nan, shape.n);  // row 3 and row 66 at least
+    EXPECT_GT(saturated, 0);
+    EXPECT_TRUE(testing::bitwise_equal(fused, two_pass));
+  }
+}
+
+TEST(EpilogueValidation, BiasBindingsRejectTemporaries) {
+  using Binding = decltype(EpilogueSpec::bias_col);
+  // A temporary container would leave the binding dangling: ill-formed.
+  static_assert(!std::is_assignable_v<Binding&, std::vector<double>&&>);
+  static_assert(
+      !std::is_assignable_v<decltype(EpilogueSpec::bias_row)&,
+                            std::vector<double>&&>);
+  static_assert(
+      !std::is_assignable_v<Binding&, const std::vector<double>&&>);
+  static_assert(!std::is_constructible_v<Binding, std::vector<double>&&>);
+  // Caller-owned storage binds as with std::span.
+  static_assert(std::is_assignable_v<Binding&, std::vector<double>&>);
+  static_assert(std::is_assignable_v<Binding&, const std::vector<double>&>);
+  static_assert(std::is_assignable_v<Binding&, std::span<const double>>);
+  static_assert(std::is_assignable_v<Binding&, std::span<double>>);
+
+  std::vector<double> bias = {1.0, 2.0, 3.0};
+  EpilogueSpec spec;
+  spec.bias_col = bias;
+  spec.bias_row = std::span<const double>(bias).subspan(1);
+  EXPECT_EQ(bias.data(), spec.bias_col.data());
+  EXPECT_EQ(3u, spec.bias_col.size());
+  EXPECT_EQ(bias.data() + 1, spec.bias_row.data());
+  EXPECT_EQ(2u, spec.bias_row.size());
 }
 
 }  // namespace
